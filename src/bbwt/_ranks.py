@@ -1,20 +1,13 @@
-"""Prefix-doubling rank engine (numpy) shared by the transform and measure paths."""
+"""Prefix-doubling rank engine (numpy) shared by the transform and measure paths.
+
+Each doubling round sorts once, with an unstable argsort (equal keys share a
+rank), on the combined int64 key rank * n + rank[succ].  Ranks are dense in
+[0, n), so keys stay below n^2, which fits int64 for n < 3 * 10^9.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _rerank(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense ranks of (primary, secondary) pairs; returns (ranks, distinct count)."""
-    order = np.lexsort((secondary, primary))
-    p, s = primary[order], secondary[order]
-    sorted_ranks = np.zeros(len(order), dtype=np.int64)
-    if len(order) > 1:
-        np.cumsum((p[1:] != p[:-1]) | (s[1:] != s[:-1]), out=sorted_ranks[1:])
-    ranks = np.empty_like(sorted_ranks)
-    ranks[order] = sorted_ranks
-    return ranks, int(sorted_ranks[-1]) + 1
 
 
 def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray) -> np.ndarray:
@@ -23,31 +16,36 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
     Each position belongs to a segment (a cyclic word occurrence) described by
     seg_start/seg_len; the rotation at position p is its segment read cyclically
     from p.  Ranks are equal exactly for rotations whose infinite repetitions
-    coincide.  Doubling stops once prefixes of length >= 2n are compared (two
-    periodic strings with periods <= n that agree that far agree forever) or the
+    coincide.  A round turns the ranks of length-k prefixes into those of
+    length-2k prefixes with one argsort; succ maps p to the start of its
+    rotation's k-th successor and doubles its step by composing with itself.
+    Doubling stops once prefixes of length >= 2n are compared (two periodic
+    strings with periods <= n that agree that far agree forever) or the
     partition stops refining.
     """
     n = int(symbols.size)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    rank, distinct = _rerank(symbols.astype(np.int64), np.zeros(n, dtype=np.int64))
-    offset = np.arange(n, dtype=np.int64) - seg_start
-    k = 1
-    while k < 2 * n and distinct < n:
-        succ = seg_start + (offset + k) % seg_len
-        rank, new_distinct = _rerank(rank, rank[succ])
-        if new_distinct == distinct:
-            break
-        distinct = new_distinct
-        k *= 2
-    return rank
+    succ = seg_start + (np.arange(1, n + 1, dtype=np.int64) - seg_start) % seg_len
+    key, distinct, k = symbols, 0, 1
+    while True:
+        order = np.argsort(key)
+        ordered = key[order]
+        sorted_ranks = np.zeros(n, dtype=np.int64)
+        np.cumsum(ordered[1:] != ordered[:-1], out=sorted_ranks[1:])
+        rank = np.empty_like(sorted_ranks)
+        rank[order] = sorted_ranks
+        refined = int(sorted_ranks[-1]) + 1
+        if refined in (distinct, n) or k >= 2 * n:
+            return rank
+        key = rank * n + rank[succ]
+        succ = succ[succ]
+        distinct, k = refined, 2 * k
 
 
 def suffix_ranks_np(data: bytes) -> np.ndarray:
     """Dense 0-based ranks of all suffixes of data (smallest suffix gets 0)."""
-    n = len(data)
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
-    ext = np.concatenate([arr, np.zeros(1, dtype=np.int64)])  # unique least terminator
-    m = n + 1
-    ranks = power_ranks(ext, np.zeros(m, dtype=np.int64), np.full(m, m, dtype=np.int64))
-    return ranks[:n] - 1
+    m = len(data) + 1
+    # symbols shift up by one, so the appended 0 is a unique least terminator
+    ext = np.append(np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1, 0)
+    return power_ranks(ext, np.zeros(m, dtype=np.int64), np.full(m, m, dtype=np.int64))[:-1] - 1

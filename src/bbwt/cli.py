@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except reachability.OrbitBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,15 +48,15 @@ def bwt(w) -> TransformResult:
     if n <= _SMALL:
         doubled = w + w
         order = sorted(range(n), key=lambda i: doubled[i:i + n])
+        out = bytes(w[i - 1] for i in order)
+        csa = tuple(i + 1 for i in order)
     else:
-        ranks = power_ranks(
-            np.frombuffer(w, dtype=np.uint8).astype(np.int64),
-            np.zeros(n, dtype=np.int64),
-            np.full(n, n, dtype=np.int64),
-        )
-        order = np.lexsort((np.arange(n), ranks)).tolist()
-    out = bytes(w[i - 1] for i in order)
-    return TransformResult(out, tuple(i + 1 for i in order), count_runs(out))
+        text = np.frombuffer(w, dtype=np.uint8)
+        ranks = power_ranks(text, np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64))
+        order = np.argsort(ranks, kind="stable")
+        out = text[order - 1].tobytes()
+        csa = tuple((order + 1).tolist())
+    return TransformResult(out, csa, count_runs(out))
 
 
 class _Core(NamedTuple):
@@ -94,20 +94,22 @@ def _core(w: bytes) -> _Core:
                 pos += flen
         csa = tuple(sorted(range(1, n + 1), key=keys.__getitem__))  # stable: ties by start
         tpos = tuple(map(pred.__getitem__, csa))
+        output = bytes(map(w.__getitem__, tpos))
     else:
         lens = np.repeat(
             np.array([len(f) for f, _ in fact.necklaces], dtype=np.int64),
             [count for _, count in fact.necklaces],
         )
         starts = np.cumsum(lens) - lens
-        ranks = power_ranks(np.frombuffer(w, dtype=np.uint8).astype(np.int64),
-                            np.repeat(starts, lens), np.repeat(lens, lens))
+        text = np.frombuffer(w, dtype=np.uint8)
+        ranks = power_ranks(text, np.repeat(starts, lens), np.repeat(lens, lens))
         order = np.argsort(ranks, kind="stable")
         pred = np.arange(-1, n - 1)  # pred[p]: 0-based cyclic predecessor of p
         pred[starts] += lens
+        tpos_array = pred[order]
         csa = tuple((order + 1).tolist())
-        tpos = tuple(pred[order].tolist())
-    output = bytes(map(w.__getitem__, tpos))
+        tpos = tuple(tpos_array.tolist())
+        output = text[tpos_array].tobytes()
     return _Core(fact, csa, tpos, output, count_runs(output))
 
 
@@ -193,13 +195,22 @@ def omega_lcp_array(w) -> list:
     if not w:
         raise ValueError("omega_lcp_array: empty input")
     core = _core(w)
-    text_rotations = []
+    home = []  # home[p - 1]: (start, stop) of the factor copy holding 1-based position p
+    pos = 0
     for f, count in core.fact.necklaces:
-        text_rotations += [f[off:] + f[:off] for off in range(len(f))] * count
-    rotations = [text_rotations[p - 1] for p in core.csa]
+        for _ in range(count):
+            home += [(pos, pos + len(f))] * len(f)
+            pos += len(f)
+
+    def rotation(p: int) -> bytes:
+        """The factor rotation starting at 1-based position p."""
+        start, stop = home[p - 1]
+        return w[p - 1:stop] + w[start:p - 1]
+
     values: list = [0]
-    for i in range(1, len(rotations)):
-        u, v = rotations[i - 1], rotations[i]
+    v = rotation(core.csa[0])
+    for p in core.csa[1:]:
+        u, v = v, rotation(p)
         if u == v:
             values.append(INF)
             continue

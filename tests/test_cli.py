@@ -160,6 +160,26 @@ def test_bms_verify_malformed(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_bms_verify_missing_scheme_is_an_input_error(tmp_path, capsys):
+    # exit 1 would claim the scheme failed verification
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"ab")
+    missing = tmp_path / "missing.txt"
+    assert cli.main(["bms", "verify", str(missing), "-i", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "missing.txt" in captured.err
+
+
+def test_missing_input_file_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    assert cli.main(["transform", "bwt", "--input", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_rotopt_default(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_bytes(b"aaabaabaaabaabb")

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from bbwt import (
     bwt_inverse_multiset,
     count_runs,
     lf_map,
+    lyndon_factorize,
     omega_lcp_array,
 )
 from bbwt.transforms import _core
@@ -217,6 +219,22 @@ def test_omega_lcp_against_runs():
         assert len(irreducible) == r.runs
         for i in irreducible:
             assert lcps[i] is not INF
+
+
+def test_omega_lcp_memory_is_linear():
+    # a random binary text of 8,192 bytes has a Lyndon factor of several
+    # thousand bytes; materialising all its rotations would take tens of MB
+    w = next(O.random_strings(2, 1, 8192, (2,), n_lo=8192))
+    assert max(len(f) for f, _ in lyndon_factorize(w).necklaces) > 4000
+    _core.cache_clear()
+    tracemalloc.start()
+    try:
+        lcps = omega_lcp_array(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lcps) == len(w)
+    assert peak < 4 << 20, peak
 
 
 def test_transform_result_is_frozen():
