@@ -1,8 +1,7 @@
 """Prefix-doubling rank engine (numpy) shared by the transform and measure paths.
 
-Each doubling round sorts once, with an unstable argsort (equal keys share a
-rank), on the combined int64 key rank * n + rank[succ].  Ranks are dense in
-[0, n), so keys stay below n^2, which fits int64 for n < 3 * 10^9.
+A round that sorts does one unstable argsort of the int64 key rank * n +
+rank[succ]; dense ranks keep it below n^2, which fits for n < 3 * 10^9.
 """
 
 from __future__ import annotations
@@ -13,21 +12,23 @@ import numpy as np
 def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray) -> np.ndarray:
     """Rank positions by the infinite repetition of the rotation starting there.
 
-    Each position belongs to a segment (a cyclic word occurrence) described by
-    seg_start/seg_len; the rotation at position p is its segment read cyclically
-    from p.  Ranks are equal exactly for rotations whose infinite repetitions
-    coincide.  A round turns the ranks of length-k prefixes into those of
-    length-2k prefixes with one argsort; succ maps p to the start of its
-    rotation's k-th successor and doubles its step by composing with itself.
-    Doubling stops once prefixes of length >= 2n are compared (two periodic
-    strings with periods <= n that agree that far agree forever) or the
-    partition stops refining.
+    Position p belongs to a segment (seg_start/seg_len, a cyclic word
+    occurrence) read cyclically from p; succ maps p to its k-th successor.
+    Ranks are equal exactly for rotations whose infinite repetitions coincide.
+    Length-k prefixes of the small non-negative symbols are packed into one
+    code while 2k of them fit 63 bits; later rounds sort once each.  Doubling
+    stops at length >= 2n (periodic strings with periods <= n that agree that
+    far agree forever) or when the partition stops refining.
     """
     n = int(symbols.size)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     succ = seg_start + (np.arange(1, n + 1, dtype=np.int64) - seg_start) % seg_len
-    key, distinct, k = symbols, 0, 1
+    codes = np.cumsum(np.bincount(symbols) > 0) - 1  # dense symbol codes
+    bits = max(int(codes[-1]).bit_length(), 1)
+    key, distinct, k = codes[symbols], 0, 1
+    while 2 * k * bits < 64 and k < 2 * n:
+        key, succ, k = (key << (k * bits)) | key[succ], succ[succ], 2 * k
     while True:
         order = np.argsort(key)
         ordered = key[order]
@@ -38,14 +39,14 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
         refined = int(sorted_ranks[-1]) + 1
         if refined in (distinct, n) or k >= 2 * n:
             return rank
-        key = rank * n + rank[succ]
-        succ = succ[succ]
-        distinct, k = refined, 2 * k
+        key, succ, distinct, k = rank * n + rank[succ], succ[succ], refined, 2 * k
 
 
 def suffix_ranks_np(data: bytes) -> np.ndarray:
     """Dense 0-based ranks of all suffixes of data (smallest suffix gets 0)."""
-    m = len(data) + 1
-    # symbols shift up by one, so the appended 0 is a unique least terminator
-    ext = np.append(np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1, 0)
-    return power_ranks(ext, np.zeros(m, dtype=np.int64), np.full(m, m, dtype=np.int64))[:-1] - 1
+    n = len(data)
+    arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
+    ext = np.concatenate([arr, np.zeros(1, dtype=np.int64)])  # unique least terminator
+    m = n + 1
+    ranks = power_ranks(ext, np.zeros(m, dtype=np.int64), np.full(m, m, dtype=np.int64))
+    return ranks[:n] - 1

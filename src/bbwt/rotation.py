@@ -250,5 +250,6 @@ def all_rotation_factorization_sizes(w) -> RotationSizes:
     for q in range(1, d):
         per_q.append((s_cnt[q] + (m - 1) + p_cnt[q],
                       s_neck[q] + extra_neck + p_neck[q]))
-    by_start = tuple(per_q[(p - j0) % n % d] for p in range(n))
-    return RotationSizes(by_start)
+    # rotation p starts at offset (p - j0) mod d of u
+    shift = -j0 % d
+    return RotationSizes(tuple((per_q[shift:] + per_q[:shift]) * m))

@@ -1,16 +1,20 @@
 """The prefix-doubling rank engine on the repetitive texts that take it the
-most rounds, checked against sorting power prefixes of length 2n.
+most rounds, and on a text over most of the byte alphabet, checked against
+sorting power prefixes of length 2n.
 
 Every text is longer than the transforms' small-input cutoff, so bbwt, bwt and
 lz77_factorize all run through the rank engine here.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 import oracles as O
-from bbwt import bbwt, bwt, lyndon_factorize, lz77_factorize
+from bbwt import bbwt, bwt, lyndon_factorize
 from bbwt._ranks import power_ranks, suffix_ranks_np
+from test_measures import check_against_oracle
 
 
 def fibonacci(n):
@@ -38,7 +42,12 @@ def equal_copies(n):
     return b"abb" * i + b"ab" * j + b"a" * (n - 3 * i - 2 * j)
 
 
-KINDS = [fibonacci, thue_morse, periodic, unary, equal_copies]
+def byte_noise(n):
+    # most of the byte alphabet, so symbols need 8 bits (9 with a terminator)
+    return random.Random(n).randbytes(n)
+
+
+KINDS = [fibonacci, thue_morse, periodic, unary, equal_copies, byte_noise]
 SIZES = [65, 96, 130, 257, 400]
 TEXTS = [pytest.param(kind(n), id=f"{kind.__name__}-{n}") for kind in KINDS for n in SIZES]
 
@@ -84,19 +93,8 @@ def test_suffix_ranks_are_the_sorted_suffix_order(w):
 
 
 @pytest.mark.parametrize("w", TEXTS)
-def test_transforms_match_oracles(w):
+def test_transforms_and_lz77_match_oracles(w):
     got = bbwt(w)
     assert (got.output, got.csa) == O.brute_bbwt(w)
     assert bwt(w).output == O.brute_bwt(w)
-
-
-@pytest.mark.parametrize("w", TEXTS)
-def test_lz77_matches_oracle(w):
-    got = lz77_factorize(w).factors
-    want = O.brute_lz77(w)
-    assert [(f.start, f.length) for f in got] == [(s, length) for s, length, _ in want]
-    for f in got:
-        if f.source is not None:
-            assert f.source < f.start
-            src, dst = f.source - 1, f.start - 1
-            assert w[src:src + f.length] == w[dst:dst + f.length]
+    check_against_oracle(w)
