@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_SMALL = 64  # below this, plain python sorting beats numpy setup cost
+
 
 def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray) -> np.ndarray:
     """Rank positions by the infinite repetition of the rotation starting there.
@@ -50,3 +52,20 @@ def suffix_ranks_np(data: bytes) -> np.ndarray:
     m = n + 1
     ranks = power_ranks(ext, np.zeros(m, dtype=np.int64), np.full(m, m, dtype=np.int64))
     return ranks[:n] - 1
+
+
+def rotation_ranks(x: bytes) -> list[int]:
+    """Dense 0-based ranks of the rotations of x by start; equal rotations tie.
+
+    For a Lyndon word these rank its suffixes too: its rotations sort exactly
+    as its suffixes do.
+    """
+    n = len(x)
+    if n > _SMALL:
+        ranks = power_ranks(np.frombuffer(x, dtype=np.uint8), np.zeros(n, dtype=np.int64),
+                            np.full(n, n, dtype=np.int64))
+        return ranks.tolist()
+    doubled = x + x
+    keys = [doubled[i:i + n] for i in range(n)]
+    dense = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [dense[key] for key in keys]

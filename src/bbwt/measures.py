@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ranks import suffix_ranks_np
+from ._ranks import _SMALL, suffix_ranks_np
 from .macro import induce_bms
 from .strings import as_text, lyndon_factorize
-from .transforms import _SMALL, _core, bbwt, bwt
+from .transforms import _core, bbwt, bwt
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._ranks import suffix_ranks_np
-from .strings import as_text, is_lyndon, rot, smallest_rotation
-from .transforms import _SMALL, bbwt
+from ._ranks import rotation_ranks
+from .strings import as_text, is_lyndon, rot
+from .transforms import bbwt
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,6 @@ def best_rotation(w) -> BestRotation:
     return BestRotation(best_shift, best_text, best_runs)
 
 
-def _suffix_ranks(x: bytes) -> list[int]:
-    n = len(x)
-    if n <= _SMALL:
-        order = sorted(range(n), key=lambda i: x[i:])
-        ranks = [0] * n
-        for r, i in enumerate(order):
-            ranks[i] = r
-        return ranks
-    return suffix_ranks_np(x).tolist()
-
-
 def _realize(split_root, n: int) -> TreeNode:
     """Turn a nested [split, left, right] structure over cut points 1..n-1
     into interval TreeNodes covering [1..n]."""
@@ -108,7 +97,8 @@ def right_lyndon_tree(w) -> LyndonTree:
     """Recursive split at the longest proper Lyndon suffix.
 
     That suffix is the lexicographically smallest proper suffix, so the tree
-    is the minimum-at-top binary tree over suffix ranks at cut points.
+    is the minimum-at-top binary tree over suffix ranks at cut points.  A
+    Lyndon word's rotations sort as its suffixes do, so rotation ranks serve.
     """
     w = as_text(w)
     if not is_lyndon(w):
@@ -116,7 +106,7 @@ def right_lyndon_tree(w) -> LyndonTree:
     n = len(w)
     if n == 1:
         return LyndonTree("RIGHT", TreeNode(1, 1))
-    ranks = _suffix_ranks(w)
+    ranks = rotation_ranks(w)
     stack: list[list] = []
     for t in range(1, n):
         last = None
@@ -232,7 +222,8 @@ def all_rotation_factorization_sizes(w) -> RotationSizes:
     Works in the least-rotation frame of the primitive root u: the rotation
     cut at offset q is factored as (suffix of u from q) + u^(copies-1) +
     (prefix of u up to q); the junctions never merge because Lyndon words
-    are unbordered.
+    are unbordered.  One rotation-rank pass over w gives the frame and u's
+    suffix ranks, as the suffixes of a Lyndon word sort as its rotations do.
     """
     w = as_text(w)
     if not w:
@@ -240,16 +231,17 @@ def all_rotation_factorization_sizes(w) -> RotationSizes:
     n = len(w)
     d = (w + w).find(w, 1)  # primitive period
     m = n // d
-    least, k = smallest_rotation(w)
-    j0 = (n - k) % n  # where the least rotation starts inside w
-    u = least[:d]
-    s_cnt, s_neck = _suffix_counts(u, _suffix_ranks(u))
+    ranks = rotation_ranks(w)
+    j0 = ranks.index(min(ranks))  # where the least rotation starts inside w
+    u = (w[j0:] + w[:j0])[:d]
+    s_cnt, s_neck = _suffix_counts(u, (ranks[j0:] + ranks[:j0])[:d])
     p_cnt, p_neck = _prefix_counts(u)
     extra_neck = 1 if m >= 2 else 0
+    shared: dict = {}
     per_q = [(m, 1)]
     for q in range(1, d):
-        per_q.append((s_cnt[q] + (m - 1) + p_cnt[q],
-                      s_neck[q] + extra_neck + p_neck[q]))
+        pair = (s_cnt[q] + (m - 1) + p_cnt[q], s_neck[q] + extra_neck + p_neck[q])
+        per_q.append(shared.setdefault(pair, pair))
     # rotation p starts at offset (p - j0) mod d of u
     shift = -j0 % d
     return RotationSizes(tuple((per_q[shift:] + per_q[:shift]) * m))

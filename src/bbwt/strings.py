@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._ranks import rotation_ranks
+
 Text = bytes
 
 
@@ -99,37 +101,20 @@ def lyndon_factorize(x) -> LyndonFactorization:
     return LyndonFactorization(tuple(groups))
 
 
-def _least_rotation_start(x: bytes) -> int:
-    """Booth's algorithm: 0-based start index of the least rotation."""
-    n = len(x)
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        c = x[j % n]
-        i = f[j - k - 1]
-        while i != -1 and c != x[(k + i + 1) % n]:
-            if c < x[(k + i + 1) % n]:
-                k = j - i - 1
-            i = f[i]
-        if c != x[(k + i + 1) % n]:
-            if c < x[(k + i + 1) % n]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
-
-
 def smallest_rotation(x) -> tuple[bytes, int]:
-    """Return (least rotation of x, smallest k >= 0 with rot(x, k) equal to it)."""
+    """Return (least rotation of x, smallest k >= 0 with rot(x, k) equal to it).
+
+    The first start of least rotation rank gives the rotation; starts a period
+    apart tie with it, and the last of them gives the smallest k.
+    """
     x = as_text(x)
     if not x:
         raise ValueError("smallest_rotation: empty input")
     n = len(x)
-    start = _least_rotation_start(x)
+    ranks = rotation_ranks(x)
+    start = ranks.index(min(ranks))
     least = x[start:] + x[:start]
     period = (least + least).find(least, 1)
-    start %= period
     if start == 0:
         return least, 0
     # all valid starts are start + j*period; the largest one gives the smallest k

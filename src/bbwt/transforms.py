@@ -15,10 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._ranks import power_ranks
-from .strings import LyndonFactorization, as_text, lyndon_factorize, smallest_rotation
-
-_SMALL = 64  # below this, plain python sorting beats numpy setup cost
+from ._ranks import _SMALL, power_ranks
+from .strings import LyndonFactorization, as_text, lyndon_factorize
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,13 @@ def lf_map(x) -> list[int]:
 
 
 def bwt_inverse_multiset(x) -> list[bytes]:
-    """Primitive cyclic words spelled by the LF cycles of x.
+    """Lyndon roots of the LF cycles of x, in nonincreasing order.
 
-    Each cycle starting at i spells x[psi^(m-1)(i)] ... x[psi^0(i)]; words are
-    stored as their least rotation and sorted nonincreasing.
+    x is the bbwt of some text (Gessel-Reutenauer; Mantaci, Restivo, Rosone,
+    Sciortino, TCS 2007), so its rows hold factor rotations in omega order, and
+    the cycle walked from row i spells the rotation at row i.  Walks that start
+    at the smallest unvisited row therefore spell Lyndon roots, in increasing
+    omega (for Lyndon words, lexicographic) order: no search, and no sort.
     """
     x = as_text(x)
     if not x:
@@ -162,9 +163,8 @@ def bwt_inverse_multiset(x) -> list[bytes]:
             chars.append(x[i])
             i = psi[i] - 1
         chars.reverse()
-        words.append(smallest_rotation(bytes(chars))[0])
-    words.sort(reverse=True)
-    return words
+        words.append(bytes(chars))
+    return words[::-1]
 
 
 def bbwt_inverse(x) -> bytes:

@@ -3,7 +3,8 @@ most rounds, and on a text over most of the byte alphabet, checked against
 sorting power prefixes of length 2n.
 
 Every text is longer than the transforms' small-input cutoff, so bbwt, bwt and
-lz77_factorize all run through the rank engine here.
+lz77_factorize all run through the rank engine here.  rotation_ranks is also
+checked below that cutoff, where it sorts rotations directly.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 
 import oracles as O
 from bbwt import bbwt, bwt, lyndon_factorize
-from bbwt._ranks import power_ranks, suffix_ranks_np
+from bbwt._ranks import _SMALL, power_ranks, rotation_ranks, suffix_ranks_np
 from test_measures import check_against_oracle
 
 
@@ -98,3 +99,49 @@ def test_transforms_and_lz77_match_oracles(w):
     assert (got.output, got.csa) == O.brute_bbwt(w)
     assert bwt(w).output == O.brute_bwt(w)
     check_against_oracle(w)
+
+
+def brute_rotation_ranks(w):
+    """Dense ranks of the rotations of w, by start."""
+    rots = O.rotations(w)
+    dense = {r: i for i, r in enumerate(sorted(set(rots)))}
+    return [dense[r] for r in rots]
+
+
+def periodic_rotations(n):
+    # a rotation of the longest power of a short word that fits in n:
+    # equal rotations must tie
+    u = b"abaab"
+    return O.brute_rot(u * (n // len(u)), n % 7)
+
+
+def random_ternary(n):
+    return bytes(random.Random(n).choices(b"abc", k=n))
+
+
+def test_rotation_ranks_on_both_sides_of_the_cutoff():
+    texts = list(O.all_strings("ab", 1, 12))
+    texts += [kind(n) for kind in (random_ternary, periodic_rotations, unary, byte_noise)
+              for n in (_SMALL - 1, _SMALL, _SMALL + 1, 100, 193, 300)]
+    for w in texts:
+        assert rotation_ranks(w) == brute_rotation_ranks(w), w
+
+
+def random_lyndon(rng, n):
+    while True:
+        w = bytes(rng.choices(b"abc", k=n))
+        least = min(O.rotations(w))
+        if O.brute_is_primitive(least):
+            return least
+
+
+def test_lyndon_rotations_sort_as_suffixes():
+    # the suffix order that right_lyndon_tree and the rotation sizes read
+    # from rotation_ranks
+    rng = random.Random(61)
+    words = [w for w in O.all_strings("abc", 1, 10) if O.brute_is_lyndon(w)]
+    words += [random_lyndon(rng, n) for n in (_SMALL + 1, 90, 150, 257, 300) for _ in range(4)]
+    for w in words:
+        by_suffix = sorted(range(len(w)), key=lambda i: w[i:])
+        ranks = rotation_ranks(w)
+        assert sorted(range(len(w)), key=ranks.__getitem__) == by_suffix, w

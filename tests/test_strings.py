@@ -122,7 +122,11 @@ def test_smallest_rotation_matches_oracle():
         assert smallest_rotation(w) == O.brute_smallest_rotation(w), w
     for w in O.all_strings("abc", 1, 7):
         assert smallest_rotation(w) == O.brute_smallest_rotation(w), w
-    for w in O.random_strings(404, 400, 150, (1, 2, 3, 8)):
+    # above the small-input cutoff, powers make equal rotations tie in rank
+    powers = [O.brute_rot(u * m, k) for u in (b"ab", b"aab", b"abacb") for m in (33, 40, 61)
+              for k in (0, 1, len(u) + 1, 5 * m)]
+    powers += [b"a" * n for n in (65, 100, 257)]
+    for w in list(O.random_strings(404, 400, 150, (1, 2, 3, 8))) + powers:
         least, k = smallest_rotation(w)
         assert (least, k) == O.brute_smallest_rotation(w)
         assert rot(w, k) == least

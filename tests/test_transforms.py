@@ -142,6 +142,14 @@ def test_bwt_inverse_multiset_properties():
             assert not O.brute_omega_less(a, b)  # a >= b in omega-order
 
 
+def test_bwt_inverse_multiset_matches_oracle():
+    # every string is a bbwt image, so the cycles must give back exactly the
+    # Lyndon factors of its preimage, in their nonincreasing order
+    texts = list(O.all_strings("abc", 1, 8))
+    for w in texts + list(O.random_strings(52, 200, 299, (1, 2, 3, 4, 8))):
+        assert bwt_inverse_multiset(O.brute_bbwt(w)[0]) == O.brute_lyndon_factors(w), w
+
+
 def test_bwt_necklace_roundtrip():
     # a primitive necklace comes back as itself; u^m comes back as m copies
     # of the primitive root u (one psi-cycle each)
