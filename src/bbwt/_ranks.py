@@ -1,7 +1,9 @@
 """Prefix-doubling rank engine (numpy) shared by the transform and measure paths.
 
-A round that sorts does one unstable argsort of the int64 key rank * n +
-rank[succ]; dense ranks keep it below n^2, which fits for n < 3 * 10^9.
+Keys are int64 codes of at most 63 bits.  A stretch of doublings packs each
+position's code with its successor's (key << bits | key[succ]) while the
+doubled width fits; one unstable argsort then turns the codes into dense
+ranks, and the next stretch packs those ranks in bit_length(count - 1) bits.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL = 64  # below this, plain python sorting beats numpy setup cost
+_MAX_N = 1 << 31  # dense ranks of < 2^31 positions fit 31 bits, so a pack always fits
 
 
 def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray) -> np.ndarray:
@@ -17,31 +20,36 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
     Position p belongs to a segment (seg_start/seg_len, a cyclic word
     occurrence) read cyclically from p; succ maps p to its k-th successor.
     Ranks are equal exactly for rotations whose infinite repetitions coincide.
-    Length-k prefixes of the small non-negative symbols are packed into one
-    code while 2k of them fit 63 bits; later rounds sort once each.  Doubling
-    stops at length >= 2n (periodic strings with periods <= n that agree that
-    far agree forever) or when the partition stops refining.
+    Length-k prefixes are packed into one code while it fits 63 bits, starting
+    from dense symbol codes and, after each sort, from the dense ranks, so a
+    sort happens only when the next doubling would overflow or the length
+    reaches 2n.  Doubling stops at length >= 2n (periodic strings with periods
+    <= n that agree that far agree forever), when a sort leaves the partition
+    as it was (after symbols, the alphabet), or when all ranks are distinct.
+    Raises ValueError for n >= 2^31.
     """
     n = int(symbols.size)
     if n == 0:
         return np.empty(0, dtype=np.int64)
+    if n >= _MAX_N:
+        raise ValueError(f"power_ranks: {n} positions, the limit is {_MAX_N - 1}")
     succ = seg_start + (np.arange(1, n + 1, dtype=np.int64) - seg_start) % seg_len
     codes = np.cumsum(np.bincount(symbols) > 0) - 1  # dense symbol codes
-    bits = max(int(codes[-1]).bit_length(), 1)
-    key, distinct, k = codes[symbols], 0, 1
-    while 2 * k * bits < 64 and k < 2 * n:
-        key, succ, k = (key << (k * bits)) | key[succ], succ[succ], 2 * k
+    key, distinct, k = codes[symbols], int(codes[-1]) + 1, 1
     while True:
+        bits = max((distinct - 1).bit_length(), 1)
+        while 2 * bits < 64 and k < 2 * n:
+            key, succ, bits, k = (key << bits) | key[succ], succ[succ], 2 * bits, 2 * k
         order = np.argsort(key)
         ordered = key[order]
         sorted_ranks = np.zeros(n, dtype=np.int64)
         np.cumsum(ordered[1:] != ordered[:-1], out=sorted_ranks[1:])
-        rank = np.empty_like(sorted_ranks)
-        rank[order] = sorted_ranks
+        key = np.empty_like(sorted_ranks)
+        key[order] = sorted_ranks
         refined = int(sorted_ranks[-1]) + 1
         if refined in (distinct, n) or k >= 2 * n:
-            return rank
-        key, succ, distinct, k = rank * n + rank[succ], succ[succ], refined, 2 * k
+            return key
+        distinct = refined
 
 
 def suffix_ranks_np(data: bytes) -> np.ndarray:

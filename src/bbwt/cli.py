@@ -197,7 +197,8 @@ def _cmd_reach(args) -> int:
         return 0
     if args.action == "path":
         path = reachability.find_path(args.source.encode("latin-1"),
-                                      args.target.encode("latin-1"))
+                                      args.target.encode("latin-1"),
+                                      budget=args.budget)
         print(path.format())
         return 0
     # descend
@@ -269,6 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t = reach_sub.add_parser("path")
     t.add_argument("source")
     t.add_argument("target")
+    t.add_argument("--budget", type=int, default=10_000_000,
+                   help="most strings the search may store")
     t.set_defaults(func=_cmd_reach)
     d = reach_sub.add_parser("descend")
     d.add_argument("text")

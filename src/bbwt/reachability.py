@@ -29,7 +29,7 @@ class UnsupportedAlphabetError(ValueError):
 
 
 class OrbitBudgetError(RuntimeError):
-    """Content class is larger than the enumeration budget."""
+    """Content class, or a path search, is larger than its budget."""
 
 
 class ReachabilityCounterexample(Exception):
@@ -193,12 +193,13 @@ def _apply_one(x: bytes, kind: str, amount: int) -> bytes:
     return bbwt(x).output if amount > 0 else bbwt_inverse(x)
 
 
-def find_path(x, y) -> OpPath:
+def find_path(x, y, budget: int = 10_000_000) -> OpPath:
     """Shortest operation path from x to y (bidirectional breadth-first search).
 
-    Raises ValueError when the symbol counts differ and
+    Raises ValueError when the symbol counts differ,
     ReachabilityCounterexample when the whole class is exhausted without
-    connecting the two strings.
+    connecting the two strings, and OrbitBudgetError when the search would
+    store more than budget strings.
     """
     x, y = as_text(x), as_text(y)
     if not x or not y:
@@ -223,6 +224,10 @@ def find_path(x, y) -> OpPath:
                 image = _apply_one(state, *step)
                 if image in seen:
                     continue
+                if len(fwd) + len(bwd) >= budget:
+                    raise OrbitBudgetError(
+                        f"path search would store more than its budget of "
+                        f"{budget} strings")
                 seen[image] = (state, step)
                 nxt.append(image)
                 if image in other:

@@ -51,7 +51,7 @@ def bwt(w) -> TransformResult:
     else:
         text = np.frombuffer(w, dtype=np.uint8)
         ranks = power_ranks(text, np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64))
-        order = np.argsort(ranks, kind="stable")
+        order = np.argsort(ranks * n + np.arange(n))  # unique keys: ties by position
         out = text[order - 1].tobytes()
         csa = tuple((order + 1).tolist())
     return TransformResult(out, csa, count_runs(out))
@@ -101,7 +101,7 @@ def _core(w: bytes) -> _Core:
         starts = np.cumsum(lens) - lens
         text = np.frombuffer(w, dtype=np.uint8)
         ranks = power_ranks(text, np.repeat(starts, lens), np.repeat(lens, lens))
-        order = np.argsort(ranks, kind="stable")
+        order = np.argsort(ranks * n + np.arange(n))  # unique keys: ties by position
         pred = np.arange(-1, n - 1)  # pred[p]: 0-based cyclic predecessor of p
         pred[starts] += lens
         tpos_array = pred[order]
@@ -130,11 +130,17 @@ def lf_map(x) -> list[int]:
     x = as_text(x)
     if not x:
         raise ValueError("lf_map: empty input")
-    # rank in the stable sort by symbol
-    out = [0] * len(x)
-    for rank, i in enumerate(sorted(range(len(x)), key=x.__getitem__), 1):
-        out[i] = rank
-    return out
+    # rank in the stable sort by symbol; numpy pays from about 32 symbols on
+    n = len(x)
+    if n <= 32:
+        out = [0] * n
+        for rank, i in enumerate(sorted(range(n), key=x.__getitem__), 1):
+            out[i] = rank
+        return out
+    order = np.argsort(np.frombuffer(x, dtype=np.uint8), kind="stable")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1)
+    return ranks.tolist()
 
 
 def bwt_inverse_multiset(x) -> list[bytes]:

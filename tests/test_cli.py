@@ -232,6 +232,13 @@ def test_reach_path_parikh_mismatch(capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_reach_path_budget(capsys):
+    assert cli.main(["reach", "path", "bbaacab", "aabcabb", "--budget", "10"]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert cli.main(["reach", "path", "bbaacab", "aabcabb", "--budget", "280"]) == 0
+    assert capsys.readouterr().out.strip() == "r5,b1,r2"
+
+
 def test_reach_check_orbit(capsys):
     assert cli.main(["reach", "check-orbit", "a:2,b:2"]) == 0
     out = capsys.readouterr().out

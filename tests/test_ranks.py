@@ -1,6 +1,7 @@
 """The prefix-doubling rank engine on the repetitive texts that take it the
 most rounds, and on a text over most of the byte alphabet, checked against
-sorting power prefixes of length 2n.
+sorting power prefixes of length 2n.  The engine's sorts are counted, and its
+repacking of dense ranks is checked where a sort leaves 2^b or 2^b + 1 ranks.
 
 Every text is longer than the transforms' small-input cutoff, so bbwt, bwt and
 lz77_factorize all run through the rank engine here.  rotation_ranks is also
@@ -99,6 +100,93 @@ def test_transforms_and_lz77_match_oracles(w):
     assert (got.output, got.csa) == O.brute_bbwt(w)
     assert bwt(w).output == O.brute_bwt(w)
     check_against_oracle(w)
+
+
+@pytest.fixture
+def sort_counts(monkeypatch):
+    """Dense rank count after each sort that power_ranks makes, in order."""
+    counts = []
+    argsort = np.argsort
+
+    def counting(key, *args, **kwargs):
+        order = argsort(key, *args, **kwargs)
+        ordered = key[order]
+        counts.append(1 + int(np.count_nonzero(ordered[1:] != ordered[:-1])))
+        return order
+
+    monkeypatch.setattr(np, "argsort", counting)
+    return counts
+
+
+def rank_both_ways(w, counts):
+    """power_ranks on text and on factor rotations, checked against brute
+    force; returns the rank counts after each sort of both calls."""
+    n = len(w)
+    seen = []
+    for seg_start, seg_len in ((np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)),
+                               factor_segments(w)):
+        counts.clear()
+        got = power_ranks(np.frombuffer(w, dtype=np.uint8), seg_start, seg_len)
+        seen.append(list(counts))
+        assert got.tolist() == brute_power_ranks(w, seg_start, seg_len)
+    return seen
+
+
+def periodic_1009(n):
+    u = bytes(random.Random(1009).choices(b"abcd", k=1009))
+    return (u * (n // 1009 + 1))[:n]
+
+
+@pytest.mark.parametrize("kind", [fibonacci, thue_morse, periodic_1009])
+@pytest.mark.parametrize("n", [2049, 4097])
+def test_power_ranks_repack_on_repetitive_texts(kind, n, sort_counts):
+    for counts in rank_both_ways(kind(n), sort_counts):
+        assert len(counts) >= 3  # packs from ranks at least twice
+
+
+def cube(size):
+    # u^3 with u primitive and its rotations apart within 16 symbols, so the
+    # first sort of its text rotations leaves exactly |u| ranks
+    return bytes(random.Random(size).choices(b"abcd", k=size)) * 3
+
+
+def seeded_periodic(seed):
+    # a binary periodic text with a tail; EDGE_COUNTS names seeds where a sort
+    # before the last leaves exactly 2^b or 2^b + 1 ranks, and the test checks it
+    rng = random.Random(seed)
+    u = bytes(rng.choices(b"ab", k=rng.randint(20, 300)))
+    return u * rng.randint(2, 5) + bytes(rng.choices(b"ab", k=rng.randint(0, 40)))
+
+
+EDGE_COUNTS = [pytest.param(cube(size), size, id=f"cube-{size}")
+               for size in (16, 17, 64, 65, 256, 257)]
+EDGE_COUNTS += [pytest.param(seeded_periodic(seed), count, id=f"periodic-{seed}")
+                for seed, count in ((24, 257), (267, 256), (359, 129))]
+EDGE_COUNTS += [pytest.param(periodic_1009(2049), 1024, id="periodic_1009-2049")]
+
+
+@pytest.mark.parametrize("w,count", EDGE_COUNTS)
+def test_power_ranks_repack_at_a_power_of_two(w, count, sort_counts):
+    # a sort that leaves 2^b ranks repacks them in b bits, 2^b + 1 in b + 1
+    text_counts, _ = rank_both_ways(w, sort_counts)
+    assert count in text_counts[:-1]
+
+
+@pytest.mark.parametrize("kind,n,most", [(fibonacci, 1 << 14, 5), (thue_morse, 1 << 14, 5),
+                                         (unary, 1 << 14, 1), (unary, 100, 1)])
+def test_power_ranks_sort_count(kind, n, most, sort_counts):
+    seg_start, seg_len = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
+    power_ranks(np.frombuffer(kind(n), dtype=np.uint8), seg_start, seg_len)
+    assert len(sort_counts) <= most
+
+
+def test_power_ranks_size_limit():
+    # dense ranks of 2^31 positions no longer pack two to a 63-bit code;
+    # broadcast views, so nothing of that size is allocated
+    n = 1 << 31
+    with pytest.raises(ValueError):
+        power_ranks(np.broadcast_to(np.uint8(97), (n,)), np.broadcast_to(np.int64(0), (n,)),
+                    np.broadcast_to(np.int64(n), (n,)))
 
 
 def brute_rotation_ranks(w):

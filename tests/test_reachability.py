@@ -167,6 +167,15 @@ def test_find_path_rejects_parikh_mismatch():
         find_path("ab", "abc")
 
 
+def test_find_path_budget():
+    x, y = b"bbaacab", b"aabcabb"
+    with pytest.raises(OrbitBudgetError):
+        find_path(x, y, budget=10)
+    # each side stores each class member at most once
+    p = find_path(x, y, budget=2 * class_size(parikh(x)))
+    assert p.apply(x) == y
+
+
 def test_orbit_connected_small_classes():
     rep = orbit_connected(parikh("aabb"))
     assert rep.class_size == 6

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -120,6 +121,16 @@ def test_lf_map_is_permutation():
     for w in O.random_strings(41, 100, 80, (1, 2, 3, 26)):
         psi = lf_map(w)
         assert sorted(psi) == list(range(1, len(w) + 1))
+
+
+def test_lf_map_matches_its_definition():
+    # both sides of the small-input cutoff, and bytes above 127
+    rng = random.Random(43)
+    texts = list(O.random_strings(42, 100, 100, (1, 2, 3, 26)))
+    texts += [rng.randbytes(n) for n in (31, 32, 33, 64, 200)]
+    for w in texts:
+        want = [sum(c < x for c in w) + w[:i + 1].count(x) for i, x in enumerate(w)]
+        assert lf_map(w) == want, w
 
 
 def test_bwt_inverse_multiset_golden():
