@@ -197,8 +197,7 @@ def _cmd_reach(args) -> int:
         return 0
     if args.action == "path":
         path = reachability.find_path(args.source.encode("latin-1"),
-                                      args.target.encode("latin-1"),
-                                      budget=args.budget)
+                                      args.target.encode("latin-1"))
         print(path.format())
         return 0
     # descend
@@ -264,14 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
     reach_sub = p.add_subparsers(dest="action", required=True)
     c = reach_sub.add_parser("check-orbit")
     c.add_argument("parikh", help="symbol counts, e.g. a:2,b:2 or \\x00:3")
-    c.add_argument("--budget", type=int, default=10_000_000,
+    c.add_argument("--budget", type=int, default=reachability.SEARCH_BUDGET,
                    help="largest class size to enumerate")
     c.set_defaults(func=_cmd_reach)
     t = reach_sub.add_parser("path")
     t.add_argument("source")
     t.add_argument("target")
-    t.add_argument("--budget", type=int, default=10_000_000,
-                   help="most strings the search may store")
     t.set_defaults(func=_cmd_reach)
     d = reach_sub.add_parser("descend")
     d.add_argument("text")

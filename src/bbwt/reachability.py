@@ -32,6 +32,11 @@ class OrbitBudgetError(RuntimeError):
     """Content class, or a path search, is larger than its budget."""
 
 
+# Most strings a path search may store, and the default largest class
+# orbit_connected enumerates.
+SEARCH_BUDGET = 10_000_000
+
+
 class ReachabilityCounterexample(Exception):
     """Two equal-content strings whose orbits never meet."""
 
@@ -193,13 +198,13 @@ def _apply_one(x: bytes, kind: str, amount: int) -> bytes:
     return bbwt(x).output if amount > 0 else bbwt_inverse(x)
 
 
-def find_path(x, y, budget: int = 10_000_000) -> OpPath:
+def find_path(x, y) -> OpPath:
     """Shortest operation path from x to y (bidirectional breadth-first search).
 
     Raises ValueError when the symbol counts differ,
     ReachabilityCounterexample when the whole class is exhausted without
     connecting the two strings, and OrbitBudgetError when the search would
-    store more than budget strings.
+    store more than SEARCH_BUDGET strings before the two sides meet.
     """
     x, y = as_text(x), as_text(y)
     if not x or not y:
@@ -224,15 +229,15 @@ def find_path(x, y, budget: int = 10_000_000) -> OpPath:
                 image = _apply_one(state, *step)
                 if image in seen:
                     continue
-                if len(fwd) + len(bwd) >= budget:
-                    raise OrbitBudgetError(
-                        f"path search would store more than its budget of "
-                        f"{budget} strings")
                 seen[image] = (state, step)
-                nxt.append(image)
                 if image in other:
                     meet = image
                     break
+                if len(fwd) + len(bwd) > SEARCH_BUDGET:
+                    raise OrbitBudgetError(
+                        f"path search would store more than its budget of "
+                        f"{SEARCH_BUDGET} strings")
+                nxt.append(image)
             if meet is not None:
                 break
         frontier[:] = nxt
@@ -325,7 +330,8 @@ def _find(parent: list[int], i: int) -> int:
     return root
 
 
-def orbit_connected(p: ParikhVector, budget: int = 10_000_000) -> OrbitReport:
+def orbit_connected(p: ParikhVector,
+                    budget: int = SEARCH_BUDGET) -> OrbitReport:
     """Union all strings of one content class under rotation and the transform.
 
     Enumerates the class in lexicographic order; every member is linked to its

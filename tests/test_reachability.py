@@ -3,6 +3,7 @@ import math
 import pytest
 
 import oracles as O
+from bbwt import reachability
 from bbwt import (
     AlreadyMinimalError,
     DescentConditionError,
@@ -167,12 +168,16 @@ def test_find_path_rejects_parikh_mismatch():
         find_path("ab", "abc")
 
 
-def test_find_path_budget():
+def test_find_path_budget(monkeypatch):
     x, y = b"bbaacab", b"aabcabb"
+    # the two searches meet at the 42nd string they store: a budget of 41
+    # still finds the path, since no step follows the meet, and 40 does not
+    monkeypatch.setattr(reachability, "SEARCH_BUDGET", 40)
     with pytest.raises(OrbitBudgetError):
-        find_path(x, y, budget=10)
-    # each side stores each class member at most once
-    p = find_path(x, y, budget=2 * class_size(parikh(x)))
+        find_path(x, y)
+    monkeypatch.setattr(reachability, "SEARCH_BUDGET", 41)
+    p = find_path(x, y)
+    assert p.format() == "r5,b1,r2"
     assert p.apply(x) == y
 
 
