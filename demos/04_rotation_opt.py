@@ -8,7 +8,7 @@ whose shapes drive those sizes.
 
 from bbwt import (
     all_rotation_factorization_sizes,
-    bbwt,
+    all_rotation_runs,
     best_rotation,
     left_lyndon_tree,
     right_lyndon_tree,
@@ -28,9 +28,8 @@ def main():
     w = b"aaabaabaaabaabb"
     print(f"text: {w.decode()}")
     print(f"runs by rotation shift:")
-    for k in range(len(w)):
-        v = rot(w, k)
-        print(f"  shift {k:>2}: {v.decode()}  rB={bbwt(v).runs}")
+    for k, runs in enumerate(all_rotation_runs(w)):
+        print(f"  shift {k:>2}: {rot(w, k).decode()}  rB={runs}")
     br = best_rotation(w)
     print(f"best: shift {br.shift} -> {br.rotated.decode()} with rB={br.r_B}")
     print()

@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from . import macro, measures, reachability, rotation, transforms
-from .strings import rot
 
 DEFAULT_LIMIT = 1 << 26
 
@@ -130,18 +129,14 @@ def _cmd_rotopt(args) -> int:
     if not data:
         print("error: empty input", file=sys.stderr)
         return 2
-    lines = []
     if args.table:
-        runs = [transforms.bbwt(rot(data, k)).runs for k in range(len(data))]
+        runs = rotation.all_rotation_runs(data)
         best_runs = min(runs)
-        shift = runs.index(best_runs)
-        lines.append(f"shift={shift}")
-        lines.append(f"rB={best_runs}")
+        lines = [f"shift={runs.index(best_runs)}", f"rB={best_runs}"]
         lines.extend(f"{k} {v}" for k, v in enumerate(runs))
     else:
         best = rotation.best_rotation(data)
-        lines.append(f"shift={best.shift}")
-        lines.append(f"rB={best.r_B}")
+        lines = [f"shift={best.shift}", f"rB={best.r_B}"]
     _write_output(args, ("\n".join(lines) + "\n").encode())
     return 0
 

@@ -33,7 +33,10 @@ class OrbitBudgetError(RuntimeError):
 
 
 # Most strings a path search may store, and the default largest class
-# orbit_connected enumerates.
+# orbit_connected enumerates.  Both store every string they reach; at n = 24
+# (tracemalloc peak) find_path takes about 158 bytes of Python heap per
+# string and orbit_connected about 104 per member, so a full budget costs
+# about 1.6 GB and 1.0 GB.
 SEARCH_BUDGET = 10_000_000
 
 
@@ -120,6 +123,15 @@ def descent_step(x) -> bytes:
     return smallest_rotation(bbwt_inverse(rot(x, 1)))[0]
 
 
+def _apply_one(x: bytes, kind: str, amount: int) -> bytes:
+    """One rotation by amount, or one transform step in amount's direction."""
+    if kind == "rot":
+        return rot(x, amount)
+    if kind == "bbwt":
+        return bbwt(x).output if amount > 0 else bbwt_inverse(x)
+    raise ValueError(f"unknown step kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class OpPath:
     """Alternating sequence of ('rot', k) / ('bbwt', m) steps.
@@ -132,13 +144,8 @@ class OpPath:
     def apply(self, x) -> bytes:
         x = as_text(x)
         for kind, amount in self.steps:
-            if kind == "rot":
-                x = rot(x, amount)
-            elif kind == "bbwt":
-                for _ in range(abs(amount)):
-                    x = bbwt(x).output if amount > 0 else bbwt_inverse(x)
-            else:
-                raise ValueError(f"unknown step kind {kind!r}")
+            for _ in range(abs(amount) if kind == "bbwt" else 1):
+                x = _apply_one(x, kind, amount)
         return x
 
     def format(self) -> str:
@@ -190,12 +197,6 @@ def normalize_steps(steps, n: int) -> tuple[tuple[str, int], ...]:
 
 
 _GENERATORS = (("rot", 1), ("rot", -1), ("bbwt", 1), ("bbwt", -1))
-
-
-def _apply_one(x: bytes, kind: str, amount: int) -> bytes:
-    if kind == "rot":
-        return rot(x, amount)
-    return bbwt(x).output if amount > 0 else bbwt_inverse(x)
 
 
 def find_path(x, y) -> OpPath:
@@ -273,46 +274,6 @@ def _next_perm(a: bytearray) -> bool:
     return True
 
 
-def _perm_rank(s: bytes, symbols: tuple[int, ...], counts: list[int],
-               total: int) -> int:
-    """Lexicographic index of s among all arrangements of its multiset."""
-    cnt = counts[:]
-    perms = total
-    remaining = len(s)
-    r = 0
-    for ch in s:
-        for idx, d in enumerate(symbols):
-            if d >= ch:
-                break
-            if cnt[idx]:
-                r += perms * cnt[idx] // remaining
-        perms = perms * cnt[idx] // remaining
-        cnt[idx] -= 1
-        remaining -= 1
-    return r
-
-
-def _perm_unrank(r: int, symbols: tuple[int, ...], counts: list[int],
-                 total: int, n: int) -> bytes:
-    cnt = counts[:]
-    perms = total
-    out = bytearray()
-    remaining = n
-    for _ in range(n):
-        for idx, d in enumerate(symbols):
-            if not cnt[idx]:
-                continue
-            here = perms * cnt[idx] // remaining
-            if r < here:
-                out.append(d)
-                perms = here
-                cnt[idx] -= 1
-                remaining -= 1
-                break
-            r -= here
-    return bytes(out)
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     class_size: int
@@ -321,53 +282,40 @@ class OrbitReport:
     witness: tuple[bytes, bytes] | None
 
 
-def _find(parent: list[int], i: int) -> int:
-    root = i
-    while parent[root] != root:
-        root = parent[root]
-    while parent[i] != root:
-        parent[i], i = root, parent[i]
-    return root
-
-
 def orbit_connected(p: ParikhVector,
                     budget: int = SEARCH_BUDGET) -> OrbitReport:
-    """Union all strings of one content class under rotation and the transform.
+    """Split one content class into orbits under rotation and the transform.
 
-    Enumerates the class in lexicographic order; every member is linked to its
-    single rotation and to its transform image (both stay inside the class).
-    A witness pair from two distinct orbits is reported when disconnected.
+    Both steps permute the finite class (the transform is a bijection), so
+    an orbit is the set reachable from any of its members by forward steps.
+    The class is enumerated in lexicographic order; each member outside every
+    orbit found so far roots a new closure, and enumeration stops once every
+    member is seen.  When disconnected, the witness pairs the sorted string
+    with the first member outside its orbit.
     """
     size = class_size(p)
     if size > budget:
         raise OrbitBudgetError(
             f"class has {size} members, budget is {budget}")
-    symbols = tuple(c for c, _ in p.counts)
-    counts = [e for _, e in p.counts]
-    n = p.n
-    parent = list(range(size))
+    seen: set[bytes] = set()
+    roots: list[bytes] = []
     cur = bytearray(canonical_smallest(p))
-    index = 0
-    while True:
-        s = bytes(cur)
-        for image in (rot(s, 1), bbwt(s).output):
-            j = (_perm_rank(image, symbols, counts, size)
-                 if image != s else index)
-            ri, rj = _find(parent, index), _find(parent, j)
-            if ri != rj:
-                parent[rj] = ri
-        index += 1
-        if not _next_perm(cur):
-            break
-    roots = {_find(parent, i) for i in range(size)}
-    orbit_count = len(roots)
-    witness = None
-    if orbit_count > 1:
-        base = _find(parent, 0)
-        other = next(i for i in range(size) if _find(parent, i) != base)
-        witness = (_perm_unrank(0, symbols, counts, size, n),
-                   _perm_unrank(other, symbols, counts, size, n))
-    return OrbitReport(size, orbit_count, orbit_count == 1, witness)
+    while len(seen) < size:
+        root = bytes(cur)
+        if root not in seen:
+            roots.append(root)
+            seen.add(root)
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for image in (rot(x, 1), bbwt(x).output):
+                    if image not in seen:
+                        seen.add(image)
+                        stack.append(image)
+        _next_perm(cur)
+    connected = len(roots) == 1
+    witness = None if connected else (roots[0], roots[1])
+    return OrbitReport(size, len(roots), connected, witness)
 
 
 def transform_to_smallest(x) -> OpPath:

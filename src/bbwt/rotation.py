@@ -17,6 +17,12 @@ from .strings import as_text, is_lyndon, rot
 from .transforms import bbwt
 
 
+# Most symbols all_rotation_runs may transform, one period of shifts times
+# the length.  At n = 4096 a symbol took 0.27 us on random text and 0.56 us
+# on a Fibonacci word (Python 3.11, 2-core VM), so 2^24 is 4.5-9.4 s.
+ROTATION_BUDGET = 1 << 24
+
+
 @dataclass(frozen=True)
 class TreeNode:
     """Binary tree node spanning text positions start..end (1-based, closed)."""
@@ -57,18 +63,31 @@ class RotationSizes:
     by_start: tuple[tuple[int, int], ...]
 
 
-def best_rotation(w) -> BestRotation:
-    """Rotation with the fewest transform runs; smallest shift wins ties."""
+def all_rotation_runs(w) -> tuple[int, ...]:
+    """Transform run count of every rotation: entry k is bbwt(rot(w, k)).runs.
+
+    Only the d shifts of one primitive period are transformed, since
+    rot(w, k) == rot(w, k + d).  Raises ValueError when that would transform
+    more than ROTATION_BUDGET symbols (d * n).
+    """
     w = as_text(w)
     if not w:
-        raise ValueError("best_rotation: empty input")
-    best_runs, best_shift, best_text = None, 0, w
-    for k in range(len(w)):
-        cand = rot(w, k)
-        runs = bbwt(cand).runs
-        if best_runs is None or runs < best_runs:
-            best_runs, best_shift, best_text = runs, k, cand
-    return BestRotation(best_shift, best_text, best_runs)
+        raise ValueError("all_rotation_runs: empty input")
+    n = len(w)
+    d = (w + w).find(w, 1)  # primitive period
+    if d * n > ROTATION_BUDGET:
+        raise ValueError(
+            f"rotation search would transform {d * n} symbols, over its "
+            f"budget of {ROTATION_BUDGET}")
+    return tuple(bbwt(rot(w, k)).runs for k in range(d)) * (n // d)
+
+
+def best_rotation(w) -> BestRotation:
+    """Rotation with the fewest transform runs; smallest shift wins ties."""
+    runs = all_rotation_runs(w)
+    best_runs = min(runs)
+    shift = runs.index(best_runs)
+    return BestRotation(shift, rot(w, shift), best_runs)
 
 
 def _realize(split_root, n: int) -> TreeNode:

@@ -3,7 +3,16 @@ import sys
 
 import pytest
 
-from bbwt import cli, induce_bms, reachability, scheme_to_text
+from bbwt import (
+    bbwt,
+    best_rotation,
+    cli,
+    induce_bms,
+    reachability,
+    rot,
+    rotation,
+    scheme_to_text,
+)
 
 
 def run(argv, capsysbinary=None):
@@ -191,13 +200,29 @@ def test_rotopt_default(tmp_path, capsys):
 
 def test_rotopt_table(tmp_path, capsys):
     src = tmp_path / "in.txt"
-    src.write_bytes(b"aab")
-    assert cli.main(["rotopt", "--table", "-i", str(src)]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    # three rotations, each as "k value"
-    table = [line.split() for line in out if not line.startswith(("shift", "rB"))]
-    assert len(table) == 3
-    assert all(len(row) == 2 for row in table)
+    # a primitive text and a periodic one, whose shifts repeat every 3
+    for text in (b"aaabaabaaabaabb", b"aab" * 4):
+        src.write_bytes(text)
+        assert cli.main(["rotopt", "--table", "-i", str(src)]) == 0
+        shift, r_b, *rows = capsys.readouterr().out.strip().splitlines()
+        best = best_rotation(text)
+        assert (shift, r_b) == (f"shift={best.shift}", f"rB={best.r_B}")
+        assert rows == [f"{k} {bbwt(rot(text, k)).runs}"
+                        for k in range(len(text))]
+
+
+def test_rotation_budget_is_an_input_error(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"aaabaabaaabaabb")
+    monkeypatch.setattr(rotation, "ROTATION_BUDGET", 15 * 15 - 1)
+    for argv in (["measure", "-i", str(src)], ["rotopt", "-i", str(src)],
+                 ["rotopt", "--table", "-i", str(src)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "budget" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_lynrot(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import types
 
 import pytest
 
@@ -122,6 +124,11 @@ def test_op_path_apply():
     assert parse_path("b1").apply("abbbabbababab") == b"bbbbbaaabbaba"
 
 
+def test_op_path_apply_rejects_unknown_step():
+    with pytest.raises(ValueError, match="unknown step kind"):
+        OpPath((("rot", 1), ("swap", 1))).apply("ab")
+
+
 def test_normalize_steps():
     assert normalize_steps([("rot", 5), ("rot", -2)], 3) == ()
     assert normalize_steps([("rot", 4)], 3) == (("rot", 1),)
@@ -208,6 +215,24 @@ def test_orbit_connected_all_distinct():
     rep = orbit_connected(parikh("abcde"))
     assert rep.class_size == 120
     assert rep.connected
+
+
+@pytest.mark.parametrize("text", ["aabb", "aaabbb", "aaaabb", "aaaabbbb",
+                                  "abcd", "aabbc"])
+def test_orbit_connected_counts_necklaces_without_transform(monkeypatch, text):
+    # with the transform replaced by the identity, the orbits are the
+    # rotation classes (necklaces), so the class falls apart
+    monkeypatch.setattr(reachability, "bbwt",
+                        lambda x: types.SimpleNamespace(output=x))
+    members = sorted({bytes(t) for t in itertools.permutations(text.encode())})
+    necklaces = {min(O.rotations(s)) for s in members}
+    rep = orbit_connected(parikh(text))
+    assert rep.class_size == len(members)
+    assert rep.orbit_count == len(necklaces) > 1
+    assert not rep.connected
+    first = members[0]
+    rotations = set(O.rotations(first))
+    assert rep.witness == (first, next(s for s in members if s not in rotations))
 
 
 def test_orbit_budget():

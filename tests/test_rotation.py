@@ -4,6 +4,7 @@ import oracles as O
 from bbwt import (
     BestRotation,
     all_rotation_factorization_sizes,
+    all_rotation_runs,
     bbwt,
     best_rotation,
     is_lyndon,
@@ -11,6 +12,7 @@ from bbwt import (
     lyndon_factorize,
     right_lyndon_tree,
     rot,
+    rotation,
 )
 
 
@@ -31,6 +33,28 @@ def test_best_rotation_golden():
     assert best_rotation("a").shift == 0
     with pytest.raises(ValueError):
         best_rotation("")
+
+
+def test_all_rotation_runs_brute_force():
+    texts = list(O.all_strings("abc", 1, 7))
+    texts += [b"aab" * 4, b"abaab" * 3, b"ab" * 7, b"c" * 9]
+    for w in texts:
+        want = tuple(bbwt(O.brute_rot(w, k)).runs for k in range(len(w)))
+        assert all_rotation_runs(w) == want, w
+    with pytest.raises(ValueError):
+        all_rotation_runs("")
+
+
+def test_rotation_budget(monkeypatch):
+    # (aab)^4 has period 3, so its search transforms 3 * 12 symbols
+    w = b"aab" * 4
+    monkeypatch.setattr(rotation, "ROTATION_BUDGET", 36)
+    assert best_rotation(w) == BestRotation(0, w, bbwt(w).runs)
+    monkeypatch.setattr(rotation, "ROTATION_BUDGET", 35)
+    with pytest.raises(ValueError, match="budget"):
+        best_rotation(w)
+    with pytest.raises(ValueError, match="budget"):
+        all_rotation_runs(w)
 
 
 def test_best_rotation_is_argmin():
