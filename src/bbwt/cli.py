@@ -68,8 +68,8 @@ def _cmd_transform(args) -> int:
 
 
 def _measure_fields(data: bytes, input_id: str) -> list[tuple[str, object]]:
+    best = rotation.best_rotation(data)  # raises over its budget before the measures run
     rep = measures.measure_report(data)
-    best = rotation.best_rotation(data)
     return [
         ("input_id", input_id),
         ("n", rep.n),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._ranks import _MAX_N
 from .strings import as_text
 from .transforms import _core
 
@@ -91,12 +92,19 @@ def induce_bms(w) -> MacroScheme:
 
 
 def _position_arrays(m: MacroScheme):
-    """Per-position (literal value, source) arrays; checks coverage and ranges."""
+    """Per-position (literal value, source) arrays; checks coverage and ranges.
+
+    The arrays grow phrase by phrase, so a header claiming more positions than
+    the phrases cover allocates nothing for the positions that are missing.
+    """
     n = m.n
     if n < 0:
         raise SchemeStructureError("negative length")
-    val = bytearray(n)
-    src = [-1] * n
+    if n >= _MAX_N:
+        raise SchemeStructureError(
+            f"length {n} is over the {_MAX_N - 1} positions a transform can have")
+    val = bytearray()
+    src: list[int] = []
     cursor = 1
     for ph in m.phrases:
         if isinstance(ph, Literal):
@@ -105,7 +113,8 @@ def _position_arrays(m: MacroScheme):
                     f"phrase at {ph.position} does not continue coverage at {cursor}")
             if not 0 <= ph.symbol <= 255:
                 raise SchemeStructureError(f"symbol {ph.symbol} out of byte range")
-            val[cursor - 1] = ph.symbol
+            val.append(ph.symbol)
+            src.append(-1)
             cursor += 1
         elif isinstance(ph, Reference):
             if ph.start != cursor:
@@ -117,8 +126,8 @@ def _position_arrays(m: MacroScheme):
                 raise SchemeStructureError("reference extends past the end")
             if not (1 <= ph.source_start and ph.source_start + ph.length - 1 <= n):
                 raise SchemeStructureError("reference source out of range")
-            src[cursor - 1:cursor - 1 + ph.length] = range(
-                ph.source_start - 1, ph.source_start - 1 + ph.length)
+            val += bytes(ph.length)
+            src += range(ph.source_start - 1, ph.source_start - 1 + ph.length)
             cursor += ph.length
         else:
             raise SchemeStructureError(f"unknown phrase type {type(ph).__name__}")
@@ -130,7 +139,8 @@ def _position_arrays(m: MacroScheme):
 def decode_bms(m: MacroScheme) -> bytes:
     """Resolve every reference chain down to its literal; the unique decoding.
 
-    Raises SchemeStructureError on malformed coverage or a cyclic chain.
+    Raises SchemeStructureError on malformed coverage, a cyclic chain, or a
+    length of 2^31 or more (longer than any text the transform accepts).
     """
     out, src = _position_arrays(m)
     state = bytearray(m.n)  # 0 unresolved, 1 on the active chain, 2 resolved

@@ -7,8 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
+import numpy as np
+
 from .strings import as_text, rot, smallest_rotation
-from .transforms import bbwt, bbwt_inverse
+from .transforms import _bbwt_rows, bbwt, bbwt_inverse
 
 
 class NotANecklaceError(ValueError):
@@ -33,10 +35,11 @@ class OrbitBudgetError(RuntimeError):
 
 
 # Most strings a path search may store, and the default largest class
-# orbit_connected enumerates.  Both store every string they reach; at n = 24
-# (tracemalloc peak) find_path takes about 158 bytes of Python heap per
-# string and orbit_connected about 104 per member, so a full budget costs
-# about 1.6 GB and 1.0 GB.
+# orbit_connected enumerates.  At n = 24 (tracemalloc peak) find_path takes
+# about 158 bytes of Python heap per stored string, and orbit_connected about
+# 91 per member (2.69M members, 245 MB: rows, images and index maps in numpy,
+# plus a fixed 50 MB for one transform chunk), so a full budget costs about
+# 1.6 GB and 0.9 GB.
 SEARCH_BUDGET = 10_000_000
 
 
@@ -52,9 +55,29 @@ class ReachabilityCounterexample(Exception):
 
 @dataclass(frozen=True)
 class ParikhVector:
-    """Symbol multiplicities, stored sorted by symbol byte."""
+    """Symbol multiplicities, stored sorted by symbol byte.
+
+    Raises ValueError unless the symbols are strictly increasing bytes
+    (0-255) and every count is at least 1.
+    """
 
     counts: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not self.counts:
+            raise ValueError("ParikhVector: no symbols")
+        prev = -1
+        for entry in self.counts:
+            if not (isinstance(entry, tuple) and len(entry) == 2
+                    and all(isinstance(v, int) for v in entry)):
+                raise ValueError(f"ParikhVector: {entry!r} is not a (symbol, count) pair")
+            symbol, count = entry
+            if not prev < symbol <= 255:
+                raise ValueError(
+                    f"ParikhVector: symbol {symbol} is not a byte above {prev}")
+            if count < 1:
+                raise ValueError(f"ParikhVector: count {count} of symbol {symbol} is below 1")
+            prev = symbol
 
     @property
     def n(self) -> int:
@@ -282,6 +305,13 @@ class OrbitReport:
     witness: tuple[bytes, bytes] | None
 
 
+# Classes of at least this many members take the batched path.  One bbwt
+# call per member costs about 19 us a member at n <= 14; the batch's numpy
+# set-up makes it dearer below about 30 members, and 6.5 us a member from 80
+# on.  Up to 71 members both paths still meet tests on disconnected classes.
+BATCH_MIN = 72
+
+
 def orbit_connected(p: ParikhVector,
                     budget: int = SEARCH_BUDGET) -> OrbitReport:
     """Split one content class into orbits under rotation and the transform.
@@ -297,6 +327,14 @@ def orbit_connected(p: ParikhVector,
     if size > budget:
         raise OrbitBudgetError(
             f"class has {size} members, budget is {budget}")
+    roots = (_roots_per_member if size < BATCH_MIN else _roots_batched)(p, size)
+    connected = len(roots) == 1
+    witness = None if connected else (roots[0], roots[1])
+    return OrbitReport(size, len(roots), connected, witness)
+
+
+def _roots_per_member(p: ParikhVector, size: int) -> list[bytes]:
+    """Closure roots, storing members as bytes and transforming one at a time."""
     seen: set[bytes] = set()
     roots: list[bytes] = []
     cur = bytearray(canonical_smallest(p))
@@ -313,9 +351,63 @@ def orbit_connected(p: ParikhVector,
                         seen.add(image)
                         stack.append(image)
         _next_perm(cur)
-    connected = len(roots) == 1
-    witness = None if connected else (roots[0], roots[1])
-    return OrbitReport(size, len(roots), connected, witness)
+    return roots
+
+
+def _class_rows(p: ParikhVector, size: int) -> np.ndarray:
+    """Every member of the class as one row of a (size, n) uint8 array, in
+    lexicographic order.
+
+    Column j is filled prefix by prefix: each length-j prefix, in order,
+    extends by each symbol it has left, smallest first, and the extension
+    repeats once per completion (a prefix with m completions and counts c
+    left extends by s in m * c[s] / (n - j) ways).
+    """
+    n = p.n
+    symbols = np.array([s for s, _ in p.counts], dtype=np.uint8)
+    left = np.array([[c for _, c in p.counts]], dtype=np.min_scalar_type(n))
+    ways = np.array([size], dtype=np.int64)
+    rows = np.empty((size, n), dtype=np.uint8)
+    for j in range(n):
+        parent, pick = np.nonzero(left)
+        left = left[parent]
+        ways = ways[parent] * left[np.arange(pick.size), pick] // (n - j)
+        rows[:, j] = np.repeat(symbols[pick], ways)
+        left[np.arange(pick.size), pick] -= 1
+    return rows
+
+
+def _roots_batched(p: ParikhVector, size: int) -> list[bytes]:
+    """Closure roots over member indices: the whole class is enumerated as
+    rows and transformed in one batch, and every rotation and transform
+    image is located among the sorted rows by binary search."""
+    rows = _class_rows(p, size)
+    key = f"V{p.n}"  # one opaque n-byte item per row; they compare as bytes do
+    members = rows.view(key).ravel()
+    index = np.min_scalar_type(size)
+    steps = [np.searchsorted(members, images.view(key).ravel()).astype(index).data
+             for images in (np.roll(rows, 1, axis=1), _bbwt_rows(rows))]
+    seen = bytearray(size)
+    roots: list[int] = []
+    reached = 0
+    for root in range(size):
+        if reached == size:
+            break
+        if seen[root]:
+            continue
+        roots.append(root)
+        seen[root] = 1
+        reached += 1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for step in steps:
+                y = step[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached += 1
+                    stack.append(y)
+    return [rows[r].tobytes() for r in roots]
 
 
 def transform_to_smallest(x) -> OpPath:

@@ -124,6 +124,53 @@ def bbwt(w) -> TransformResult:
     return TransformResult(core.output, core.csa, core.runs)
 
 
+_ROW_CELLS = 1 << 19  # cells per _bbwt_rows chunk: about 100 B of temporaries each, 50 MB
+
+
+def _bbwt_rows(rows: np.ndarray) -> np.ndarray:
+    """bbwt output of every row of an (N, n) uint8 array, n >= 1, as an (N, n) array.
+
+    Chunks of at most _ROW_CELLS cells are transformed together, so memory
+    stays bounded however many rows there are.
+    """
+    out = np.empty_like(rows)
+    step = max(1, _ROW_CELLS // rows.shape[1])
+    for a in range(0, rows.shape[0], step):
+        out[a:a + step] = _bbwt_chunk(rows[a:a + step])
+    return out
+
+
+def _bbwt_chunk(rows: np.ndarray) -> np.ndarray:
+    """_bbwt_rows of one chunk.
+
+    Each row followed by a least terminator is one cyclic segment, whose
+    rotations then sort as the row's suffixes; the left-to-right strict
+    minima of the suffix ranks in a row start its Lyndon factors (the last
+    factor is the least suffix, the one before it the least suffix of the
+    rest, and so on).  Omega ranks of every factor rotation then order each
+    row's output positions, ties by column, as in _core.
+    """
+    count, n = rows.shape
+    cells = count * n
+    ext = np.zeros((count, n + 1), dtype=np.int16)  # symbol + 1, then terminator 0
+    ext[:, :n] = rows
+    ext[:, :n] += 1
+    seg = np.arange(0, count * (n + 1), n + 1, dtype=np.int64)
+    suffix = power_ranks(ext.ravel(), np.repeat(seg, n + 1),
+                         np.full(count * (n + 1), n + 1, dtype=np.int64))
+    suffix = suffix.reshape(count, n + 1)[:, :n]
+    is_start = (suffix == np.minimum.accumulate(suffix, axis=1)).ravel()
+    starts = np.flatnonzero(is_start)
+    lens = np.diff(starts, append=cells)
+    factor = np.cumsum(is_start) - 1
+    flat = rows.ravel()
+    omega = power_ranks(flat, starts[factor], lens[factor]).reshape(count, n)
+    order = np.argsort(omega * n + np.arange(n), axis=1)  # unique keys: ties by column
+    pred = np.arange(-1, cells - 1)  # pred[p]: cyclic predecessor of p in its factor
+    pred[starts] += lens
+    return flat[pred[order + np.arange(0, cells, n)[:, None]]]
+
+
 def lf_map(x) -> list[int]:
     """1-based stable symbol-sort map: entry i is
     |{j : x[j] < x[i]}| + |{j <= i : x[j] = x[i]}|."""

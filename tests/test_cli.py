@@ -8,6 +8,7 @@ from bbwt import (
     best_rotation,
     cli,
     induce_bms,
+    measures,
     reachability,
     rot,
     rotation,
@@ -224,6 +225,20 @@ def test_rotation_budget_is_an_input_error(tmp_path, capsys, monkeypatch):
         assert "budget" in captured.err
         assert "Traceback" not in captured.err
 
+
+def test_measure_checks_rotation_budget_first(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"aaabaabaaabaabb")
+    monkeypatch.setattr(rotation, "ROTATION_BUDGET", 15 * 15 - 1)
+
+    def measure_report(_):
+        raise AssertionError("measure_report ran before the rotation budget check")
+
+    monkeypatch.setattr(measures, "measure_report", measure_report)
+    assert cli.main(["measure", "-i", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
 
 def test_lynrot(tmp_path, capsys):
     src = tmp_path / "in.txt"

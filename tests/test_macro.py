@@ -219,6 +219,14 @@ def test_validate_never_raises():
     rep = validate_bms(s, b"aa")
     assert not rep.acyclic and not rep.decodes and not rep.ok
 
+    # a header claiming far more positions than the phrases cover, and one
+    # whose reference would cover more than any transform: structural
+    # failures, with nothing allocated for the claimed length
+    for text in ("BMS 100000000000000000000\n", "BMS 2000000000\nL 1 61\nL 2 62\n",
+                 "BMS 100000000000000000000\nL 1 61\nR 2 99999999999999999999 1\n"):
+        rep = validate_bms(scheme_from_text(text), b"ab")
+        assert not rep.acyclic and not rep.decodes and not rep.ok
+
 
 def test_validate_random_sweep():
     for w in O.random_strings(101, 120, 200, (1, 2, 4, 16)):

@@ -1,0 +1,72 @@
+"""Property tests: the text parsers and the scheme decoder raise only their
+own documented errors, whatever text they are given."""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bbwt import (
+    SchemeFormatError,
+    SchemeStructureError,
+    cli,
+    decode_bms,
+    parse_path,
+    scheme_from_text,
+)
+
+# Small numbers make well-formed schemes likely; the huge ones are past any
+# text a transform can have, so decode_bms must refuse them without
+# allocating.  Numbers in between describe texts that really are that long.
+_NUMBER = st.one_of(st.integers(-2, 40),
+                    st.sampled_from([2**31, 10**20, 2**64])).map(str)
+_TOKEN = st.one_of(_NUMBER, st.sampled_from(["BMS", "L", "R", "61", "ff", "-"]),
+                   st.text(max_size=3))
+_PHRASE = st.one_of(
+    st.tuples(st.just("L"), _NUMBER,
+              st.integers(-1, 300).map(lambda v: format(v, "x"))).map(" ".join),
+    st.tuples(st.just("R"), _NUMBER, _NUMBER, _NUMBER).map(" ".join),
+    st.lists(_TOKEN, max_size=5).map(" ".join),
+)
+_SCHEME_TEXT = st.one_of(
+    st.builds(lambda n, body: "\n".join([f"BMS {n}", *body]),
+              _NUMBER, st.lists(_PHRASE, max_size=8)),
+    st.text(),
+)
+
+
+@given(_SCHEME_TEXT)
+def test_scheme_text_decodes_or_raises_scheme_errors(text):
+    try:
+        decode_bms(scheme_from_text(text))
+    except (SchemeFormatError, SchemeStructureError):
+        pass
+
+
+_PATH_TOKEN = st.one_of(
+    st.tuples(st.sampled_from("rbx"), st.integers(-10**20, 10**20).map(str)).map("".join),
+    st.text(max_size=4),
+)
+
+
+@given(st.one_of(st.lists(_PATH_TOKEN, max_size=6).map(",".join), st.text()))
+def test_parse_path_raises_only_value_error(text):
+    try:
+        parse_path(text)
+    except ValueError:
+        pass
+
+
+_PARIKH_TOKEN = st.one_of(
+    st.tuples(st.one_of(st.characters(), st.sampled_from(["\\x00", "\\xff", "\\x1", "\\xzz"])),
+              st.sampled_from([":", "", "::"]),
+              st.one_of(st.integers(-3, 10**20).map(str), st.text(max_size=2))
+              ).map("".join),
+    st.text(max_size=4),
+)
+
+
+@given(st.one_of(st.lists(_PARIKH_TOKEN, max_size=5).map(",".join), st.text()))
+def test_parse_parikh_raises_only_value_error(text):
+    try:
+        cli.parse_parikh(text)
+    except ValueError:
+        pass

@@ -1,6 +1,9 @@
 import itertools
 import math
+import random
+import time
 import types
+from collections import Counter
 
 import pytest
 
@@ -12,6 +15,8 @@ from bbwt import (
     NotANecklaceError,
     OpPath,
     OrbitBudgetError,
+    OrbitReport,
+    ParikhVector,
     UnsupportedAlphabetError,
     bbwt,
     bbwt_inverse,
@@ -38,6 +43,23 @@ def test_parikh_basics():
     assert parikh("aab") != parikh("abb")
     with pytest.raises(ValueError):
         parikh("")
+
+
+@pytest.mark.parametrize("counts", [
+    (), ((98, 1), (97, 1)), ((97, 1), (97, 2)), ((97, 0),), ((97, -2),),
+    ((256, 1),), ((-1, 1),), ((97,),), ((97, 1, 1),), ((97, 1.5),), ([97, 1],),
+])
+def test_parikh_vector_rejects_malformed_counts(counts):
+    # enumeration starts at the sorted string and binary search needs sorted
+    # members, so symbols must strictly increase and counts be positive
+    with pytest.raises(ValueError):
+        ParikhVector(counts)
+
+
+def test_parikh_vector_accepts_extreme_bytes():
+    p = ParikhVector(((0, 2), (255, 1)))
+    assert canonical_smallest(p) == b"\x00\x00\xff"
+    assert orbit_connected(p) == OrbitReport(3, 1, True, None)
 
 
 def test_canonical_smallest():
@@ -263,3 +285,76 @@ def test_transform_to_smallest_reaches_target():
 def test_transform_to_smallest_rejects_wide_alphabets():
     with pytest.raises(UnsupportedAlphabetError):
         transform_to_smallest("aabc")
+
+
+def _members(text):
+    want = Counter(text.encode())
+    return [bytes(t) for t in itertools.product(sorted(want), repeat=len(text))
+            if Counter(t) == want]
+
+
+@pytest.mark.parametrize("text", ["aaaaabbbbb", "aaabbbcc", "aabbccd", "abcdef"])
+def test_orbit_connected_counts_necklaces_without_batched_transform(monkeypatch, text):
+    # twin of test_orbit_connected_counts_necklaces_without_transform for the
+    # batched path, on classes at or above BATCH_MIN
+    monkeypatch.setattr(reachability, "_bbwt_rows", lambda rows: rows)
+    members = _members(text)
+    assert len(members) >= reachability.BATCH_MIN
+    necklaces = {min(O.rotations(s)) for s in members}
+    rep = orbit_connected(parikh(text))
+    assert rep.class_size == len(members)
+    assert rep.orbit_count == len(necklaces) > 1
+    assert not rep.connected
+    first = members[0]
+    rotations = set(O.rotations(first))
+    assert rep.witness == (first, next(s for s in members if s not in rotations))
+
+
+def _reports(monkeypatch, classes, batch_min):
+    monkeypatch.setattr(reachability, "BATCH_MIN", batch_min)
+    return [orbit_connected(p) for p in classes]
+
+
+def test_orbit_paths_agree(monkeypatch):
+    # every criterion-10 class of at most 2,000 members (the per-member path
+    # takes about 20 us a member), seeded random classes over up to five
+    # symbols anywhere in 0..255, then disconnected classes, with the
+    # transform replaced by the identity on both paths
+    classes = [parikh(b"a" * (n - k) + b"b" * k) for n in range(1, 15) for k in range(n + 1)]
+    classes += [parikh(bytes(range(97, 97 + n))) for n in range(1, 8)]
+    classes += [parikh(b"a" * ca + b"b" * cb + b"c" * (n - ca - cb))
+                for n in range(3, 13) for ca in range(1, n - 1) for cb in range(1, n - ca)]
+    classes = [p for p in classes if class_size(p) <= 2000]
+    rng = random.Random(73)
+    while len(classes) < 361:
+        symbols = sorted(rng.sample(range(256), rng.randint(1, 5)))
+        p = ParikhVector(tuple((c, rng.randint(1, 4)) for c in symbols))
+        if class_size(p) <= 2000:
+            classes.append(p)
+    assert _reports(monkeypatch, classes, 0) == _reports(monkeypatch, classes, 10**9)
+
+    identity = [parikh(t) for t in ("aabb", "aaabbbcc", "aabbccd", "abcdef", "\x00\xff\xff\x00c")]
+    monkeypatch.setattr(reachability, "bbwt", lambda x: types.SimpleNamespace(output=x))
+    monkeypatch.setattr(reachability, "_bbwt_rows", lambda rows: rows)
+    batched = _reports(monkeypatch, identity, 0)
+    assert batched == _reports(monkeypatch, identity, 10**9)
+    assert all(rep.orbit_count > 1 for rep in batched)
+
+
+def test_orbit_connected_extended_range():
+    # the conjecture beyond criterion 10: every genuinely ternary class at
+    # n = 13 and every genuinely quaternary class up to n = 9 (1,569,750 and
+    # 237,528 members), under its own wall-clock budget
+    t0 = time.perf_counter()
+    classes = [((97, ca), (98, cb), (99, 13 - ca - cb))
+               for ca in range(1, 12) for cb in range(1, 13 - ca)]
+    classes += [tuple(zip(b"abcd", c)) for n in range(4, 10)
+                for c in itertools.product(range(1, n - 2), repeat=4) if sum(c) == n]
+    members = 0
+    for counts in classes:
+        rep = orbit_connected(ParikhVector(counts))
+        assert rep.connected, (counts, rep.witness)
+        members += rep.class_size
+    assert members == 1_569_750 + 237_528
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0, f"extended reachability range took {elapsed:.1f}s"

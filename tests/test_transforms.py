@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -19,7 +20,10 @@ from bbwt import (
     lyndon_factorize,
     omega_lcp_array,
 )
-from bbwt.transforms import _core
+import numpy as np
+
+from bbwt import transforms
+from bbwt.transforms import _bbwt_rows, _core
 
 
 def test_count_runs():
@@ -87,6 +91,40 @@ def test_bbwt_matches_oracle_large_path():
         out, csa = O.brute_bbwt(w)
         assert (got.output, got.csa) == (out, csa)
 
+
+
+def _check_rows(rows):
+    got = _bbwt_rows(rows)
+    assert got.shape == rows.shape and got.dtype == np.uint8
+    for row, out in zip(rows, got):
+        assert out.tobytes() == bbwt(row.tobytes()).output, row.tobytes()
+
+
+def test_bbwt_rows_matches_bbwt():
+    rng = np.random.default_rng(71)
+    for sigma in (1, 2, 3, 4, 256):
+        for n in (1, 2, 3, 7, 12, 33):
+            for count in (1, 2, 40):
+                rows = rng.integers(0, sigma, (count, n)).astype(np.uint8)
+                if sigma == 256:  # both extreme bytes, often
+                    rows[rng.random(rows.shape) < 0.3] = 0
+                    rows[rng.random(rows.shape) < 0.3] = 255
+                _check_rows(rows)
+    # periodic rows, powers of one symbol, and every ternary row of length 6
+    periodic = [(b"ab" * 6), (b"aab" * 4), (b"abcabc" * 2), b"\xff" * 12, b"\x00" * 12,
+                (b"\x00\xff" * 6), (b"\xff\x00\x00" * 4)]
+    _check_rows(np.frombuffer(b"".join(periodic), dtype=np.uint8).reshape(-1, 12))
+    ternary = np.array(list(itertools.product(b"abc", repeat=6)), dtype=np.uint8)
+    _check_rows(ternary)
+
+
+def test_bbwt_rows_spans_chunks(monkeypatch):
+    # 37-cell chunks cut a batch of 9-symbol rows into 4-row pieces (and a
+    # 1-row chunk once the rows are longer than a chunk)
+    monkeypatch.setattr(transforms, "_ROW_CELLS", 37)
+    rng = np.random.default_rng(72)
+    _check_rows(rng.integers(97, 100, (50, 9)).astype(np.uint8))
+    _check_rows(rng.integers(0, 256, (5, 40)).astype(np.uint8))
 
 def test_lf_map_golden():
     assert lf_map("nnbaaa") == [5, 6, 4, 1, 2, 3]
