@@ -23,10 +23,11 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
     Length-k prefixes are packed into one code while it fits 63 bits, starting
     from dense symbol codes and, after each sort, from the dense ranks, so a
     sort happens only when the next doubling would overflow or the length
-    reaches 2n.  Doubling stops at length >= 2n (periodic strings with periods
-    <= n that agree that far agree forever), when a sort leaves the partition
-    as it was (after symbols, the alphabet), or when all ranks are distinct.
-    Raises ValueError for n >= 2^31.
+    reaches 2L, L the longest segment.  Doubling stops at length >= 2L
+    (by Fine and Wilf, periodic strings with periods p, q <= L that agree on
+    p + q symbols agree forever), when a sort leaves the partition as it was
+    (after symbols, the alphabet), or when all ranks are distinct.
+    Raises ValueError for n >= 2^31 positions.
     """
     n = int(symbols.size)
     if n == 0:
@@ -34,11 +35,12 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
     if n >= _MAX_N:
         raise ValueError(f"power_ranks: {n} positions, the limit is {_MAX_N - 1}")
     succ = seg_start + (np.arange(1, n + 1, dtype=np.int64) - seg_start) % seg_len
+    enough = 2 * int(seg_len.max())
     codes = np.cumsum(np.bincount(symbols) > 0) - 1  # dense symbol codes
     key, distinct, k = codes[symbols], int(codes[-1]) + 1, 1
     while True:
         bits = max((distinct - 1).bit_length(), 1)
-        while 2 * bits < 64 and k < 2 * n:
+        while 2 * bits < 64 and k < enough:
             key, succ, bits, k = (key << bits) | key[succ], succ[succ], 2 * bits, 2 * k
         order = np.argsort(key)
         ordered = key[order]
@@ -47,7 +49,7 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
         key = np.empty_like(sorted_ranks)
         key[order] = sorted_ranks
         refined = int(sorted_ranks[-1]) + 1
-        if refined in (distinct, n) or k >= 2 * n:
+        if refined in (distinct, n) or k >= enough:
             return key
         distinct = refined
 

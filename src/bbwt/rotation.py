@@ -1,26 +1,48 @@
 """Rotation search for the fewest transform runs, Lyndon trees, and
 factorization sizes of all rotations in one pass.
 
-The per-rotation sizes come from two linear scans over the least-rotation
-frame: factor counts of every suffix (next-smaller suffix ranks) and of every
-prefix (an instrumented Duval scan).  A rotation's factorization is its
-suffix part followed by its prefix part, since no factor of a rotation of a
-Lyndon word ever spans the wrap point.
+Everything about all rotations works in the least-rotation frame of the
+primitive root u (a Lyndon word) of w = rot(u^m): the rotation cut at offset
+q of u is u[q:] u^(m-1) u[:q], and its Lyndon factors are those of the suffix
+u[q:] (a chain of next-smaller suffix ranks), m - 1 copies of u, and those of
+the prefix u[:q] (a parent forest recorded by an instrumented Duval scan),
+since no factor of a rotation of a Lyndon word ever spans the wrap point.
+The per-rotation sizes are counts along the two chains.  The run counts of
+the transform of every rotation come from one omega sort of the O(d) distinct
+factors, then one sort of each rotation's output codes as a row of a matrix;
+only very small and very large searches transform shift by shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._ranks import rotation_ranks
+import numpy as np
+
+from ._ranks import power_ranks, rotation_ranks
 from .strings import as_text, is_lyndon, rot
 from .transforms import bbwt
 
 
-# Most symbols all_rotation_runs may transform, one period of shifts times
-# the length.  At n = 4096 a symbol took 0.27 us on random text and 0.56 us
-# on a Fibonacci word (Python 3.11, 2-core VM), so 2^24 is 4.5-9.4 s.
+# Most cells (one period of d shifts times the length n) all_rotation_runs
+# may take on; past the shared sort's window only the per-shift loop runs.
+# Measured per path (Python 3.11, numpy 2.4, 2-core VM): the loop took 6.6 s
+# at 2^24 (random 4-symbol text, n = 4096), about 0.4 us a cell; the shared
+# sort at most about 0.3 us a cell inside its window (0.31 s at 2^20 on
+# random 4-symbol text, 0.22 s on a^1023 b, 0.03 s on a Fibonacci word).
 ROTATION_BUDGET = 1 << 24
+
+# all_rotation_runs sorts all rotations together when _SHARED_MIN <= d * n <=
+# _SHARED_MAX and transforms shift by shift otherwise.  On random ternary
+# text the two cost about the same at 64 cells (n = 8: 147 us for the loop,
+# 139 us shared), the loop wins below (n = 4: 61 against 137 us), and the
+# window starts where the shared sort is clearly ahead (n = 12: 248 against
+# 141 us).  The shared sort ranks about d^2 / 2 factor rotations, so its
+# memory grows with d^2: on random 4-symbol text it took 0.31 s and 30 MB at
+# 2^20 cells (n = 1024) against 0.44-0.61 s for the loop, and 1.2 s and
+# 113 MB at 2^22 against 1.7 s and 1 MB.
+_SHARED_MIN = 128
+_SHARED_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,9 +88,12 @@ class RotationSizes:
 def all_rotation_runs(w) -> tuple[int, ...]:
     """Transform run count of every rotation: entry k is bbwt(rot(w, k)).runs.
 
-    Only the d shifts of one primitive period are transformed, since
-    rot(w, k) == rot(w, k + d).  Raises ValueError when that would transform
-    more than ROTATION_BUDGET symbols (d * n).
+    Only the d shifts of one primitive period are distinct, since
+    rot(w, k) == rot(w, k + d).  When d * n is between _SHARED_MIN and
+    _SHARED_MAX, one omega sort ranks every rotation of the distinct Lyndon
+    factors of all rotations, and one row sort per shift orders its output
+    codes (see _frame_runs); outside that window each shift is transformed
+    by bbwt.  Raises ValueError when d * n passes ROTATION_BUDGET.
     """
     w = as_text(w)
     if not w:
@@ -79,7 +104,12 @@ def all_rotation_runs(w) -> tuple[int, ...]:
         raise ValueError(
             f"rotation search would transform {d * n} symbols, over its "
             f"budget of {ROTATION_BUDGET}")
-    return tuple(bbwt(rot(w, k)).runs for k in range(d)) * (n // d)
+    if not _SHARED_MIN <= d * n <= _SHARED_MAX:
+        return tuple(bbwt(rot(w, k)).runs for k in range(d)) * (n // d)
+    j0, u, nss = _frame(w, d)
+    per_q = _frame_runs(u, nss, n // d)
+    # rot(w, k) starts at text position -k, which is offset -k - j0 of u
+    return tuple(per_q[(-k - j0) % d] for k in range(d)) * (n // d)
 
 
 def best_rotation(w) -> BestRotation:
@@ -179,20 +209,43 @@ def left_lyndon_tree(w) -> LyndonTree:
     return LyndonTree("LEFT", made[(0, n)])
 
 
-def _suffix_counts(x: bytes, ranks: list[int]):
-    """Factor totals and necklace counts of every suffix of Lyndon word x.
+def _frame(w: bytes, d: int) -> tuple[int, bytes, list[int]]:
+    """(j0, u, nss): where the least rotation starts inside w, its root u of
+    length d (a Lyndon word), and _next_smaller of u's suffix ranks.
 
-    The first factor of the suffix at i runs to the next position with a
-    smaller suffix rank; counts chain off that tail, merging the necklace
-    when the following factor is identical.
+    One rotation-rank pass over w gives all three, as the suffixes of a
+    Lyndon word sort as its rotations do.  The rank list, a Python int per
+    position, is dropped here, before the callers' scans add their lists.
     """
-    n = len(x)
+    ranks = rotation_ranks(w)
+    j0 = ranks.index(min(ranks))
+    u = (w[j0:] + w[:j0])[:d]
+    return j0, u, _next_smaller((ranks[j0:] + ranks[:j0])[:d])
+
+
+def _next_smaller(ranks: list[int]) -> list[int]:
+    """nss[i]: the first position after i with a smaller rank, else len(ranks).
+
+    For the suffix ranks of a Lyndon word x, x[i:nss[i]] is the first Lyndon
+    factor of the suffix x[i:], and the rest factors as x[nss[i]:].
+    """
+    n = len(ranks)
     nss = [n] * n
     stack: list[int] = []
     for j in range(n):
         while stack and ranks[stack[-1]] > ranks[j]:
             nss[stack.pop()] = j
         stack.append(j)
+    return nss
+
+
+def _suffix_counts(x: bytes, nss: list[int]):
+    """Factor totals and necklace counts of every suffix of Lyndon word x.
+
+    The first factor of the suffix at i runs to nss[i]; counts chain off that
+    tail, merging the necklace when the following factor is identical.
+    """
+    n = len(x)
     s_cnt = [0] * (n + 1)
     s_neck = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -207,22 +260,27 @@ def _suffix_counts(x: bytes, ranks: list[int]):
 
 
 def _prefix_counts(x: bytes):
-    """Factor totals and necklace counts of every prefix of x.
+    """Factor totals, necklace counts and parents of every prefix of x.
 
     A Duval scan instrumented so that at scan position j the prefix x[:j]
-    is (emitted factors) u^q u' with u' a proper prefix of u; its counts
-    reduce to the already-known prefix x[:i+r] plus the u^q block.
+    is (emitted factors) v^q v' with v Lyndon and v' a proper prefix of v;
+    its counts reduce to those of its parent x[:par], par = j - q|v|, which
+    is (emitted factors) v'.  For a Lyndon word x nothing is emitted before
+    the end, so v = x[:(j - par) // q] and par = |v'|.
     """
     n = len(x)
     p_cnt = [0] * (n + 1)
     p_neck = [0] * (n + 1)
+    p_par = [0] * (n + 1)
     i = 0
     while i < n:
         j, k = i + 1, i
         while True:
             q, r = divmod(j - i, j - k)
-            p_cnt[j] = q + p_cnt[i + r]
-            p_neck[j] = p_neck[i + r] + 1
+            par = i + r
+            p_par[j] = par
+            p_cnt[j] = q + p_cnt[par]
+            p_neck[j] = p_neck[par] + 1
             if j == n or x[k] > x[j]:
                 break
             if x[k] < x[j]:
@@ -232,17 +290,74 @@ def _prefix_counts(x: bytes):
             j += 1
         period = j - k
         i += period * ((j - i) // period)
-    return p_cnt, p_neck
+    return p_cnt, p_neck, p_par
+
+
+def _factor_codes(factors: list[bytes]) -> tuple[np.ndarray, list[int]]:
+    """(codes, firsts): the output code of every rotation of every factor,
+    factor after factor, and where each factor's codes begin.
+
+    A code is the rotation's omega rank (one power_ranks call over all the
+    factors as segments) times 256 plus its last symbol, the one the
+    transform outputs for it; equal ranks carry equal symbols.
+    """
+    lens = np.array([len(f) for f in factors], dtype=np.int64)
+    firsts = np.cumsum(lens) - lens
+    symbols = np.frombuffer(b"".join(factors), dtype=np.uint8)
+    omega = power_ranks(symbols, np.repeat(firsts, lens), np.repeat(lens, lens))
+    pred = np.arange(-1, symbols.size - 1)  # cyclic predecessor in the factor
+    pred[firsts] += lens
+    return omega * 256 + symbols[pred], firsts.tolist()
+
+
+def _frame_runs(u: bytes, nss: list[int], m: int) -> list[int]:
+    """Transform run count of the rotation cut at every offset q of u^m.
+
+    That rotation's factors are those of u[q:] (u[q:nss[q]], then those of
+    u[nss[q]:]), m - 1 copies of u, and those of u[:q] (those of u[:par],
+    then copies of u[:period], from _prefix_counts).  So every factor is one
+    of at most 2d distinct substrings of u, and _factor_codes codes all their
+    rotations at once.  Row q of a (d, d) matrix holds the codes of u[q:]'s
+    factors in columns [0, d - q) and of u[:q]'s in [d - q, d), copying the
+    part it shares from row nss[q] or row par.  When m > 1 one copy of u's
+    codes joins every row: codes that repeat in a row never change its runs.
+    Sorted, a row is in the transform's output order, and its runs are one
+    plus its symbol changes.
+    """
+    d = len(u)
+    p_cnt, _, p_par = _prefix_counts(u)
+    copies = [p_cnt[j] - p_cnt[p_par[j]] for j in range(d)]  # of u[:period] in u[:j]
+    ids: dict[bytes, int] = {}  # distinct factor -> its index
+    suffix_id = [ids.setdefault(u[q:nss[q]], len(ids)) for q in range(d)]
+    prefix_id = [ids.setdefault(u[:(j - p_par[j]) // copies[j]], len(ids))
+                 for j in range(1, d)]
+    codes, firsts = _factor_codes(list(ids))
+
+    rows = np.empty((d, d), dtype=np.int64)
+    for q in range(d - 1, -1, -1):
+        e, a = nss[q], firsts[suffix_id[q]]
+        rows[q, :e - q] = codes[a:a + e - q]
+        if e < d:
+            rows[q, e - q:d - q] = rows[e, :d - e]
+    for j, f in enumerate(prefix_id, 1):
+        par, a = p_par[j], firsts[f]
+        rows[j, d - j:d - j + par] = rows[par, d - par:]
+        # the copies of u[:period], through a 2-d view of the row's contiguous tail
+        rows[j, d - j + par:].reshape(copies[j], -1)[:] = codes[a:a + (j - par) // copies[j]]
+    if m > 1:  # row 0 holds the codes of u itself
+        rows = np.hstack([rows, np.broadcast_to(rows[0], (d, d))])
+    rows.sort(axis=1)
+    symbols = rows.astype(np.uint8)  # the low byte of a code
+    return (1 + np.count_nonzero(symbols[:, 1:] != symbols[:, :-1], axis=1)).tolist()
 
 
 def all_rotation_factorization_sizes(w) -> RotationSizes:
     """(total_factors, necklace_count) of every rotation, in linear total time.
 
-    Works in the least-rotation frame of the primitive root u: the rotation
-    cut at offset q is factored as (suffix of u from q) + u^(copies-1) +
-    (prefix of u up to q); the junctions never merge because Lyndon words
-    are unbordered.  One rotation-rank pass over w gives the frame and u's
-    suffix ranks, as the suffixes of a Lyndon word sort as its rotations do.
+    Works in the least-rotation frame of the primitive root u (_frame): the
+    rotation cut at offset q is factored as (suffix of u from q) +
+    u^(copies-1) + (prefix of u up to q); the junctions never merge because
+    Lyndon words are unbordered.
     """
     w = as_text(w)
     if not w:
@@ -250,11 +365,9 @@ def all_rotation_factorization_sizes(w) -> RotationSizes:
     n = len(w)
     d = (w + w).find(w, 1)  # primitive period
     m = n // d
-    ranks = rotation_ranks(w)
-    j0 = ranks.index(min(ranks))  # where the least rotation starts inside w
-    u = (w[j0:] + w[:j0])[:d]
-    s_cnt, s_neck = _suffix_counts(u, (ranks[j0:] + ranks[:j0])[:d])
-    p_cnt, p_neck = _prefix_counts(u)
+    j0, u, nss = _frame(w, d)
+    s_cnt, s_neck = _suffix_counts(u, nss)
+    p_cnt, p_neck, _ = _prefix_counts(u)
     extra_neck = 1 if m >= 2 else 0
     shared: dict = {}
     per_q = [(m, 1)]

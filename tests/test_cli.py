@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -210,6 +211,23 @@ def test_rotopt_table(tmp_path, capsys):
         assert (shift, r_b) == (f"shift={best.shift}", f"rB={best.r_B}")
         assert rows == [f"{k} {bbwt(rot(text, k)).runs}"
                         for k in range(len(text))]
+
+
+def test_rotation_commands_match_per_shift_transforms(tmp_path, capsys):
+    # 300 bytes: 300 shifts times 300 symbols lies inside the window where
+    # all rotations are sorted together, not transformed one by one
+    text = bytes(random.Random(300).choices(b"abcd", k=300))
+    src = tmp_path / "in.txt"
+    src.write_bytes(text)
+    table = [bbwt(rot(text, k)).runs for k in range(len(text))]
+    best = (table.index(min(table)), min(table))
+    assert cli.main(["rotopt", "--table", "-i", str(src)]) == 0
+    shift, r_b, *rows = capsys.readouterr().out.strip().splitlines()
+    assert (shift, r_b) == (f"shift={best[0]}", f"rB={best[1]}")
+    assert rows == [f"{k} {runs}" for k, runs in enumerate(table)]
+    assert cli.main(["measure", "--porcelain", "-i", str(src)]) == 0
+    fields = dict(pair.split("=", 1) for pair in capsys.readouterr().out.split())
+    assert (fields["best_rotation_shift"], fields["best_rotation_rB"]) == tuple(map(str, best))
 
 
 def test_rotation_budget_is_an_input_error(tmp_path, capsys, monkeypatch):

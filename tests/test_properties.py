@@ -1,6 +1,8 @@
 """Property tests: the text parsers and the scheme decoder raise only their
-own documented errors, whatever text they are given."""
+own documented errors, whatever text they are given, and every command that
+reads an input maps whatever bytes it reads to a documented exit code."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -70,3 +72,24 @@ def test_parse_parikh_raises_only_value_error(text):
         cli.parse_parikh(text)
     except ValueError:
         pass
+
+
+# every subcommand that reads an input; bms verify reads a scheme file too
+INPUT_COMMANDS = [["transform", mode] for mode in ("bwt", "bbwt", "ibwt-multiset", "ibbwt")]
+INPUT_COMMANDS += [["measure"], ["bms", "build"], ["bms", "verify", "SCHEME"], ["rotopt"],
+                   ["rotopt", "--table"], ["lynrot"]]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS, ids=" ".join)
+@given(data=st.binary(max_size=64), scheme=st.binary(max_size=64))
+def test_input_commands_exit_with_documented_codes(workdir, command, data, scheme):
+    (workdir / "in").write_bytes(data)
+    (workdir / "scheme").write_bytes(scheme)
+    argv = [str(workdir / "scheme") if arg == "SCHEME" else arg for arg in command]
+    argv += ["-i", str(workdir / "in"), "-o", str(workdir / "out")]
+    assert cli.main(argv) in (0, 1, 2)

@@ -78,6 +78,32 @@ def test_power_ranks_on_factor_rotations(w):
     assert got.tolist() == brute_power_ranks(w, seg_start, seg_len)
 
 
+def near_periodic(root, n):
+    """(root^ω)[:n] and its variants with one symbol changed."""
+    w = (root * n)[:n]
+    return [w] + [w[:i] + bytes([195 - w[i]]) + w[i + 1:] for i in range(n)]
+
+
+SEGMENT_SETS = [
+    pytest.param([fibonacci(n) for n in range(1, 41)], id="fibonacci-prefixes"),
+    pytest.param([fibonacci(n) for n in (5, 8, 13, 21, 34, 55, 89)], id="fibonacci-words"),
+    pytest.param(near_periodic(b"abaab", 23) + near_periodic(b"aab", 14), id="near-periodic"),
+    pytest.param([b"ab" * 9 + b"a", b"ab" * 9, b"aba", b"abaab" * 3], id="long-agreements"),
+]
+
+
+@pytest.mark.parametrize("segments", SEGMENT_SETS)
+def test_power_ranks_on_segments_of_many_lengths(segments):
+    # the doubling stops at twice the longest segment, far short of twice
+    # all positions; checked against power prefixes of twice all positions
+    lens = [len(s) for s in segments]
+    w = b"".join(segments)
+    seg_start = np.repeat(np.cumsum([0] + lens[:-1]), lens)
+    seg_len = np.repeat(lens, lens)
+    got = power_ranks(np.frombuffer(w, dtype=np.uint8), seg_start, seg_len)
+    assert got.tolist() == brute_power_ranks(w, seg_start, seg_len)
+
+
 @pytest.mark.parametrize("w", TEXTS)
 def test_power_ranks_on_text_rotations(w):
     n = len(w)

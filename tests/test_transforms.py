@@ -118,6 +118,42 @@ def test_bbwt_rows_matches_bbwt():
     _check_rows(ternary)
 
 
+def test_bbwt_rows_fibonacci_and_near_periodic():
+    # rows whose factor rotations agree longest before they differ: windows
+    # of the Fibonacci word (its prefixes meet the Fine-Wilf bound) and
+    # periodic words with one symbol changed
+    fib = O.brute_fibonacci(12)
+    for n in (8, 13, 21, 34):
+        _check_rows(np.array([list(fib[i:i + n]) for i in range(60)], dtype=np.uint8))
+        for root in (b"ab", b"aab", b"abaab", b"abaababa"):
+            w = (root * n)[:n]
+            near = [w[:i] + bytes([195 - w[i]]) + w[i + 1:] for i in range(n)]
+            _check_rows(np.frombuffer(b"".join([w, *near]), dtype=np.uint8).reshape(-1, n))
+
+
+def test_bbwt_rows_sort_count(monkeypatch):
+    # 1,000 distinct ternary rows of 13: one sort ranks the suffixes (with a
+    # terminator every rotation differs within 14 symbols), two rank the
+    # factor rotations (the doubling stops at 32 >= twice the longest
+    # factor), and one orders each row
+    rng = np.random.default_rng(74)
+    codes = rng.choice(3 ** 13, 1000, replace=False)
+    rows = (97 + codes[:, None] // 3 ** np.arange(13) % 3).astype(np.uint8)
+    sorts = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    got = _bbwt_rows(rows)
+    monkeypatch.undo()
+    assert len(sorts) == 4
+    for row, out in zip(rows, got):
+        assert out.tobytes() == bbwt(row.tobytes()).output
+
+
 def test_bbwt_rows_spans_chunks(monkeypatch):
     # 37-cell chunks cut a batch of 9-symbol rows into 4-row pieces (and a
     # 1-row chunk once the rows are longer than a chunk)
