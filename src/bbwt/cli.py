@@ -27,7 +27,7 @@ def _read_input(args) -> bytes:
             data = data[:-1]
     if len(data) > args.max_bytes:
         raise ValueError(
-            f"input is {len(data)} bytes, over the {args.max_bytes} limit")
+            f"input is {len(data)} bytes, over the --max-bytes limit of {args.max_bytes}")
     return data
 
 
@@ -107,12 +107,14 @@ def _cmd_bms(args) -> int:
         print("error: empty input", file=sys.stderr)
         return 2
     if args.action == "build":
-        scheme = macro.induce_bms(data)
-        _write_output(args, macro.scheme_to_text(scheme).encode())
+        _write_output(args, macro._induced_scheme_text(data).encode())
         return 0
     with open(args.scheme, encoding="latin-1") as fh:
         scheme_text = fh.read()
     scheme = macro.scheme_from_text(scheme_text)  # SchemeFormatError -> exit 2
+    if scheme.n > args.max_bytes:  # refused before decoding allocates n positions
+        raise ValueError(
+            f"scheme claims {scheme.n} positions, over the --max-bytes limit of {args.max_bytes}")
     rep = macro.validate_bms(scheme, data)
     lines = [
         f"phrase_count={rep.phrase_count}",
@@ -218,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     io_common.add_argument("--strip-newline", action="store_true",
                            help="drop one trailing newline from the input")
     io_common.add_argument("--max-bytes", type=int, default=DEFAULT_LIMIT,
-                           help="input size limit (default 2^26)")
+                           help="input size limit, also on the length a verified "
+                                "scheme claims (default 2^26)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", parents=[io_common],

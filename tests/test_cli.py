@@ -9,6 +9,7 @@ from bbwt import (
     best_rotation,
     cli,
     induce_bms,
+    macro,
     measures,
     reachability,
     rot,
@@ -88,7 +89,7 @@ def test_transform_max_bytes(tmp_path, capsys):
     src.write_bytes(b"a" * 100)
     rc = cli.main(["transform", "bwt", "-i", str(src), "--max-bytes", "10"])
     assert rc == 2
-    assert "max-bytes" in capsys.readouterr().err or True
+    assert "--max-bytes" in capsys.readouterr().err
 
 
 def test_transform_roundtrip_via_files(tmp_path):
@@ -150,6 +151,45 @@ def test_bms_build_and_verify_roundtrip(tmp_path, capsys):
     assert "acyclic=true" in out
     assert "decodes=true" in out
     assert "bound_ok=true" in out
+
+
+def test_bms_build_writes_the_induced_scheme(tmp_path, monkeypatch):
+    # a chunk of 7 lines puts chunk boundaries inside every scheme below
+    monkeypatch.setattr(macro, "_LINES_PER_CHUNK", 7)
+    rng = random.Random(17)
+    inputs = [b"a", b"\x00\xff", b"ab" * 32, b"ab" * 32 + b"a",
+              bytes(rng.randrange(256) for _ in range(3000)),
+              bytes(rng.randrange(97, 99) for _ in range(3000)),
+              measures.fibonacci_word(16)]
+    src = tmp_path / "in.bin"
+    scheme = tmp_path / "scheme.txt"
+    for data in inputs:
+        src.write_bytes(data)
+        assert cli.main(["bms", "build", "-i", str(src), "-o", str(scheme)]) == 0
+        assert scheme.read_bytes() == scheme_to_text(induce_bms(data)).encode(), data
+
+
+def test_bms_verify_refuses_scheme_over_max_bytes(tmp_path, monkeypatch, capsys):
+    # three valid lines claiming 10^6 positions must not be decoded
+    src = tmp_path / "in.txt"
+    scheme = tmp_path / "scheme.txt"
+    src.write_bytes(b"a")
+    scheme.write_text("BMS 1000000\nL 1 61\nR 2 999999 1\n")
+
+    def no_decode(m):
+        raise AssertionError("decoded a scheme over --max-bytes")
+
+    monkeypatch.setattr(macro, "decode_bms", no_decode)
+    rc = cli.main(["bms", "verify", str(scheme), "-i", str(src), "--max-bytes", "999999"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-bytes" in captured.err
+    monkeypatch.undo()
+    # a scheme of exactly the limit is decoded and checked as before
+    rc = cli.main(["bms", "verify", str(scheme), "-i", str(src), "--max-bytes", "1000000"])
+    assert rc == 1
+    assert "acyclic=true" in capsys.readouterr().out
 
 
 def test_bms_verify_tampered(tmp_path, capsys):

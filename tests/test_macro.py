@@ -1,4 +1,10 @@
+import random
+import tracemalloc
+from unittest import mock
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as O
 from bbwt import (
@@ -11,6 +17,7 @@ from bbwt import (
     decode_bms,
     induce_bms,
     lyndon_factorize,
+    macro,
     scheme_from_text,
     scheme_to_text,
     validate_bms,
@@ -276,3 +283,137 @@ def test_scheme_from_text_rejects_malformed():
 def test_scheme_from_text_skips_blank_lines():
     s = scheme_from_text("BMS 3\n\nL 1 61\n\nR 2 2 1\n")
     assert s == induce_bms("aaa")
+
+
+
+def _column_texts():
+    for w in O.all_strings("abc", 1, 8):
+        yield w
+    rng = random.Random(131)
+    for sigma in (1, 2, 4, 256):
+        for n in (1, 2, 63, 64, 65, 100, 500, 1999, 2000, 2049, 4000,
+                  *rng.sample(range(1, 2000), 8)):
+            low = rng.choice((0, 256 - sigma))  # bytes 0 and 255 both occur
+            yield bytes(rng.randrange(low, low + sigma) for _ in range(n))
+    for n in (65, 377, 1000, 2000, 2049, 5000):
+        yield O.brute_fibonacci(20)[:n]
+        yield bytes(97 + bin(i).count("1") % 2 for i in range(n))
+        yield (b"abracadabra" * n)[:n]
+        yield b"a" * n
+        yield b"ab" * (n // 2)
+
+
+def test_scheme_arrays_match_loop():
+    # induce_bms's phrase loop, forced at every length, is the reference
+    for w in _column_texts():
+        w = O.to_bytes(w)
+        with mock.patch.object(macro, "_INDUCE_LOOP_MAX", 1 << 31):
+            expected = induce_bms(w).phrases
+        assert macro._phrases(w, *macro._scheme_arrays(w)) == expected, w
+        assert induce_bms(w).phrases == expected, w
+
+
+def test_scheme_arrays_columns():
+    starts, lengths, sources = macro._scheme_arrays(b"abbbabbababab")
+    assert starts.tolist() == [1, 2, 3, 5, 6, 7, 8, 9, 10]
+    assert lengths.tolist() == [1, 1, 2, 1, 1, 1, 1, 1, 4]
+    assert sources.tolist() == [0, 0, 6, 0, 0, 13, 0, 0, 8]
+
+
+def _decode_both(m):
+    """(bytes or None) from each decode path: walk, then pointer doubling."""
+    results = []
+    for walk_max in (1 << 31, -1):
+        with mock.patch.object(macro, "_WALK_MAX", walk_max):
+            try:
+                results.append(decode_bms(m))
+            except SchemeStructureError:
+                results.append(None)
+    return results
+
+
+@st.composite
+def small_schemes(draw):
+    """Schemes of up to 12 positions: covering partitions with arbitrary
+    in-range sources (so self-references and cycles are common), and now and
+    then a shifted start, a bad source or a wrong header length."""
+    n = draw(st.integers(0, 12))
+    phrases = []
+    t = 1
+    while t <= n:
+        length = draw(st.integers(1, n - t + 1))
+        if draw(st.booleans()):
+            phrases.append(Literal(t, draw(st.integers(0, 255))))
+            length = 1
+        else:
+            phrases.append(Reference(t, length, draw(st.integers(1, n - length + 1))))
+        t += length
+    if phrases and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(phrases) - 1))
+        ph = phrases[i]
+        if isinstance(ph, Reference):
+            phrases[i] = Reference(ph.start + draw(st.integers(-1, 1)), ph.length,
+                                   draw(st.integers(-1, n + 1)))
+        else:
+            phrases[i] = Literal(ph.position + draw(st.integers(-1, 1)), ph.symbol)
+    return MacroScheme(n + draw(st.sampled_from([0, 0, 0, -1, 1])), tuple(phrases))
+
+
+@given(small_schemes())
+def test_decode_paths_agree(m):
+    walked, doubled = _decode_both(m)
+    assert walked == doubled
+
+
+def _by_position(n, sources):
+    """A scheme of n positions: each t in sources copies sources[t]; every
+    other position is a literal 'a'."""
+    return MacroScheme(n, tuple(Reference(t, 1, sources[t]) if t in sources
+                                else Literal(t, 97) for t in range(1, n + 1)))
+
+
+def _cycle_position(m):
+    with pytest.raises(SchemeStructureError) as err:
+        decode_bms(m)
+    return int(str(err.value).rsplit(" ", 1)[1])
+
+
+def test_decode_large_path_cycles():
+    n = 1000
+    assert n > macro._WALK_MAX
+    # a self-reference
+    assert _cycle_position(_by_position(n, {500: 500})) == 500
+    # a 2-cycle
+    assert _cycle_position(_by_position(n, {10: 20, 20: 10})) in (10, 20)
+    # a cycle longer than n / 2, written as two references: 1..599 copy
+    # 2..600, and 600 copies 1
+    m = MacroScheme(n, (Reference(1, 599, 2), Reference(600, 1, 1),
+                        *(Literal(t, 97) for t in range(601, n + 1))))
+    assert 1 <= _cycle_position(m) <= 600
+    # a chain of 300 steps running into a 10-cycle
+    sources = {t: t + 1 for t in range(1, 301)}
+    sources.update({t: t + 1 for t in range(301, 310)})
+    sources[310] = 301
+    assert 301 <= _cycle_position(_by_position(n, sources)) <= 310
+    # one clean chain still decodes beside literals
+    assert decode_bms(_by_position(n, {1: 2, 2: 3, 999: 1})) == b"a" * n
+
+
+def _long_chain():
+    return scheme_from_text("BMS 1000000\nL 1 61\nR 2 999999 1\n")
+
+
+def test_decode_large_path_long_chain():
+    # each position copies the one before it: a chain of 999,999 steps
+    assert decode_bms(_long_chain()) == b"a" * 1000000
+
+
+def test_decode_long_chain_memory():
+    m = _long_chain()
+    tracemalloc.start()
+    try:
+        decode_bms(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 10**6, peak
