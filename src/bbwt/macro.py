@@ -33,13 +33,13 @@ class SchemeFormatError(ValueError):
     """Serialized scheme text cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     position: int
     symbol: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reference:
     start: int
     length: int

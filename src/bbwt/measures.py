@@ -9,12 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ranks import _SMALL, suffix_ranks_np
-from .macro import induce_bms
+from .macro import _INDUCE_LOOP_MAX, _scheme_arrays, induce_bms
 from .strings import as_text, lyndon_factorize
 from .transforms import _core, bbwt, bwt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LzFactor:
     start: int
     length: int
@@ -30,12 +30,30 @@ class Lz77Factorization:
         return len(self.factors)
 
 
-def _match_len(w: bytes, j: int, i: int) -> int:
-    """Length of the longest common prefix of w[j:] extended past i (overlap ok)."""
+def _common_prefix(w: bytes, j: int, i: int) -> int:
+    """Length of the longest common prefix of w[j:] and w[i:], for j < i and
+    w[j] == w[i]; the match may run into w[i:] itself.
+
+    Short matches are compared byte by byte.  Past 16 bytes the match gallops
+    on slice equality: the step doubles from 1 until a slice differs, then
+    halves back down to 1.  A slice that runs off the end of w is shorter than
+    its partner from j, so it never compares equal.
+    """
     n = len(w)
-    k = 0
-    while i + k < n and w[j + k] == w[i + k]:
+    k = 1
+    while k < 16:
+        if i + k == n or w[j + k] != w[i + k]:
+            return k
         k += 1
+    step = 1
+    while w[j + k:j + k + step] == w[i + k:i + k + step]:
+        k += step
+        step += step
+    # the match ends in [k, k + step); halving a power of two covers it
+    while step > 1:
+        step >>= 1
+        if w[j + k:j + k + step] == w[i + k:i + k + step]:
+            k += step
     return k
 
 
@@ -48,7 +66,7 @@ def _lz77_small(w: bytes) -> list[LzFactor]:
         for j in range(i):
             if w[j] != w[i]:
                 continue
-            k = _match_len(w, j, i)
+            k = _common_prefix(w, j, i)
             if k > best_len:
                 best_len, best_src = k, j
         if best_len == 0:
@@ -61,40 +79,52 @@ def _lz77_small(w: bytes) -> list[LzFactor]:
 
 
 def _lz77_sa(w: bytes) -> list[LzFactor]:
-    """Longest previous factors via nearest smaller start positions in suffix order."""
+    """Longest previous factors from the nearest smaller start positions in
+    suffix order (Crochemore and Ilie, IPL 2008).
+
+    The longest earlier match of w[i:] starts at left[i] or right[i], the
+    nearest suffixes before and after w[i:] in suffix order that start earlier
+    in the text.  One left-to-right scan of the suffix array finds both
+    (Karkkainen, Kempa and Puglisi, CPM 2013): the stack holds increasing
+    start positions; every position that the new one pops has it as its right,
+    and the position left on top is the new one's left.  A side whose first
+    symbol differs has match length 0; otherwise `_common_prefix` measures it.
+    The longer match wins, and a tie goes to the smaller source.
+    """
     n = len(w)
     ranks = suffix_ranks_np(w)
     sa = np.empty(n, dtype=np.int64)
     sa[ranks] = np.arange(n, dtype=np.int64)
-    sa_list = sa.tolist()
     left = [-1] * n
-    stack: list[int] = []
-    for pos in sa_list:
-        while stack and stack[-1] > pos:
-            stack.pop()
-        left[pos] = stack[-1] if stack else -1
-        stack.append(pos)
     right = [-1] * n
-    stack = []
-    for pos in reversed(sa_list):
-        while stack and stack[-1] > pos:
-            stack.pop()
-        right[pos] = stack[-1] if stack else -1
-        stack.append(pos)
+    stack = [-1]  # -1 sits below every position, so the pops stop on it
+    push, pop = stack.append, stack.pop
+    top = -1
+    for pos in sa.tolist():
+        while top > pos:
+            right[top] = pos
+            pop()
+            top = stack[-1]
+        left[pos] = top
+        push(pos)
+        top = pos
     factors = []
+    add = factors.append
     i = 0
     while i < n:
-        l1 = _match_len(w, left[i], i) if left[i] >= 0 else 0
-        l2 = _match_len(w, right[i], i) if right[i] >= 0 else 0
+        c = w[i]
+        j1, j2 = left[i], right[i]
+        l1 = _common_prefix(w, j1, i) if j1 >= 0 and w[j1] == c else 0
+        l2 = _common_prefix(w, j2, i) if j2 >= 0 and w[j2] == c else 0
         if l1 == 0 and l2 == 0:
-            factors.append(LzFactor(i + 1, 1, None))
+            add(LzFactor(i + 1, 1, None))
             i += 1
             continue
-        if l1 > l2 or (l1 == l2 and left[i] < right[i]):
-            length, src = l1, left[i]
+        if l1 > l2 or (l1 == l2 and j1 < j2):
+            length, src = l1, j1
         else:
-            length, src = l2, right[i]
-        factors.append(LzFactor(i + 1, length, src + 1))
+            length, src = l2, j2
+        add(LzFactor(i + 1, length, src + 1))
         i += length
     return factors
 
@@ -129,7 +159,7 @@ def fibonacci_word(k: int, max_length: int = 1 << 26) -> bytes:
     return cur
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasureReport:
     n: int
     r: int
@@ -152,7 +182,12 @@ def measure_report(w) -> MeasureReport:
     fact, r_b = core.fact, core.runs
     r = bwt(w).runs
     z = lz77_factorize(w).z
-    phrases = induce_bms(w).phrase_count
+    # past the loop crossover, count the scheme's phrase columns rather than
+    # build every phrase object only to count them
+    if n > _INDUCE_LOOP_MAX:
+        phrases = len(_scheme_arrays(w)[0])
+    else:
+        phrases = induce_bms(w).phrase_count
     ratio = r_b / (z * math.log2(n) ** 2) if n >= 2 else 0.0
     return MeasureReport(n, r, r_b, fact.necklace_count, fact.total_factors,
                          z, phrases, ratio)

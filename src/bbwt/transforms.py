@@ -19,7 +19,7 @@ from ._ranks import _SMALL, power_ranks
 from .strings import LyndonFactorization, as_text, lyndon_factorize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformResult:
     output: bytes
     csa: tuple[int, ...]
@@ -31,7 +31,7 @@ def count_runs(x) -> int:
     x = as_text(x)
     if not x:
         raise ValueError("count_runs: empty input")
-    if len(x) > 4096:
+    if len(x) > _SMALL:
         a = np.frombuffer(x, dtype=np.uint8)
         return 1 + int(np.count_nonzero(a[1:] != a[:-1]))
     return 1 + sum(map(ne, x, x[1:]))

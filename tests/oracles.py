@@ -212,6 +212,48 @@ def brute_lz77(w):
     return out
 
 
+def brute_lz77_sa(w):
+    """The greedy factorization with the suffix-order choice of source.
+
+    At each factor start i, the candidates are the nearest earlier-starting
+    suffixes on both sides of w[i:] in sorted order: the largest one smaller
+    than w[i:] and the smallest one larger.  The longer match wins and a tie
+    goes to the smaller start.  Returns (start, length, source) triples as
+    brute_lz77 does.
+    """
+    w = to_bytes(w)
+    n = len(w)
+    out = []
+    i = 0
+    while i < n:
+        suffix = w[i:]
+        below = [j for j in range(i) if w[j:] < suffix]
+        above = [j for j in range(i) if w[j:] > suffix]
+        left = max(below, key=lambda j: w[j:]) if below else -1
+        right = min(above, key=lambda j: w[j:]) if above else -1
+
+        def match(j):
+            if j < 0:
+                return 0
+            length = 0
+            while i + length < n and w[j + length] == w[i + length]:
+                length += 1
+            return length
+
+        l1, l2 = match(left), match(right)
+        if l1 == 0 and l2 == 0:
+            out.append((i + 1, 1, None))
+            i += 1
+            continue
+        if l1 > l2 or (l1 == l2 and left < right):
+            length, src = l1, left
+        else:
+            length, src = l2, right
+        out.append((i + 1, length, src + 1))
+        i += length
+    return out
+
+
 def brute_fibonacci(k):
     a, b = "b", "a"  # F_0, F_1
     if k == 0:

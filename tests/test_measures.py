@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as O
 from bbwt import (
@@ -9,10 +12,12 @@ from bbwt import (
     bwt,
     fibonacci_separation_table,
     fibonacci_word,
+    induce_bms,
     lyndon_factorize,
     lz77_factorize,
     measure_report,
 )
+from bbwt.measures import _common_prefix
 
 
 def as_tuples(fac):
@@ -186,3 +191,106 @@ def test_fibonacci_measures():
     # transform no matter how long they get
     assert measure_report(fibonacci_word(13)).r == 2
     assert bwt(fibonacci_word(16)).runs == 2
+
+
+def sa_tuples(w):
+    got = [(f.start, f.length, f.source) for f in lz77_factorize(w).factors]
+    want = O.brute_lz77_sa(w)
+    assert got == want, w
+    # the suffix-order choice keeps the greedy boundaries
+    assert [t[:2] for t in want] == [t[:2] for t in O.brute_lz77(w)], w
+    return got
+
+
+def _planted(length, tail=b"z"):
+    """A text whose factor after the marker y copies exactly `length`
+    symbols of an earlier block, then stops at a symbol seen nowhere else
+    (or at the end of the text when tail is empty)."""
+    rng = random.Random(length)
+    x = bytes(rng.randrange(97, 101) for _ in range(100))
+    return x + b"y" + x[7:7 + length] + tail
+
+
+def test_lz77_sa_unary():
+    for n in (65, 200, 1000):
+        assert sa_tuples(b"a" * n) == [(1, 1, None), (2, n - 1, 1)]
+
+
+def test_lz77_sa_match_lengths_at_the_gallop():
+    # byte-by-byte compares stop at 16; the gallop doubles from there
+    for length in (15, 16, 17, 31, 32, 33, 63, 64, 65):
+        for tail in (b"z", b""):
+            w = _planted(length, tail)
+            got = sa_tuples(w)
+            assert any(s == 102 and k == length for s, k, _ in got), (length, tail)
+
+
+def test_lz77_sa_last_factor_runs_to_the_end():
+    rng = random.Random(3)
+    for n in (65, 97, 130, 257, 400):
+        for sigma in (1, 2, 3):
+            x = bytes(rng.randrange(97, 97 + sigma) for _ in range(n // 2))
+            w = (x * 3)[:n]
+            got = sa_tuples(w)
+            start, length, _ = got[-1]
+            assert start + length - 1 == n and length > 1
+
+
+def test_lz77_sa_structured_texts():
+    fib = fibonacci_word(14)
+    tm = bytes(97 + bin(i).count("1") % 2 for i in range(700))
+    texts = [fib[:n] for n in (65, 89, 233, 377, 610)]
+    texts += [fib[k:k + 300] for k in (1, 13, 100)]
+    texts += [tm[:n] for n in (65, 128, 300, 700)]
+    texts += [tm[k:k + 200] for k in (1, 5, 77)]
+    for p in (1, 2, 3, 7, 16, 17, 33, 64):
+        base = bytes(97 + (5 * t) % 3 for t in range(p - 1)) + b"d"
+        texts += [(base * (300 // p + 1))[:n] for n in (65, 150, 300)]
+    for w in texts:
+        sa_tuples(w)
+
+
+def test_lz77_sa_alphabets():
+    rng = random.Random(7)
+    for sigma, low in ((1, 0), (1, 255), (2, 0), (4, 97), (256, 0)):
+        for n in (65, 66, 120, 300):
+            w = bytes(low + rng.randrange(sigma) for _ in range(n))
+            sa_tuples(w)
+    # both extreme bytes in one text, in runs and alternating
+    sa_tuples(bytes([0, 255]) * 40)
+    sa_tuples(bytes([0] * 30 + [255] * 30 + [0] * 30 + [255] * 5))
+
+
+_SMALL_ALPHABET = st.integers(1, 4).flatmap(
+    lambda s: st.lists(st.integers(0, s - 1), min_size=65, max_size=300)
+).map(lambda v: bytes(97 + c for c in v))
+
+
+@given(st.one_of(_SMALL_ALPHABET, st.binary(min_size=65, max_size=300)))
+def test_lz77_sa_property(w):
+    sa_tuples(w)
+
+
+def test_common_prefix_against_slices():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 300)
+        w = bytes(rng.randrange(97, 97 + rng.choice((1, 2))) for _ in range(n))
+        i = rng.randrange(1, n)
+        for j in range(i):
+            if w[j] != w[i]:
+                continue
+            want = 0
+            while i + want < n and w[j + want] == w[i + want]:
+                want += 1
+            assert _common_prefix(w, j, i) == want, (w, j, i)
+
+
+def test_measure_report_counts_phrases_across_the_crossover():
+    # past the loop crossover the count comes from the scheme's columns
+    rng = random.Random(9)
+    fib = fibonacci_word(18)
+    for n in (2047, 2048, 2049, 3000):
+        for w in (bytes(rng.randrange(97, 101) for _ in range(n)), fib[:n],
+                  b"ab" * (n // 2) + b"a" * (n % 2)):
+            assert measure_report(w).bms_phrases == induce_bms(w).phrase_count

@@ -33,7 +33,15 @@ def test_count_runs():
     assert count_runs(b"nnbaaa") == 3
     with pytest.raises(ValueError):
         count_runs(b"")
-    # the small loop and the vectorized path must agree
+    # the small loop and the vectorized path must agree, at the crossover
+    # (64 symbols) and far past it
+    rng = random.Random(11)
+    for n in (*range(1, 5), *range(63, 67), *range(4095, 4098)):
+        for sigma in (1, 2, 4):
+            w = bytes(rng.randrange(97, 97 + sigma) for _ in range(n))
+            assert count_runs(w) == O.brute_runs(w), (n, sigma)
+        # a change of symbol in the last place only
+        assert count_runs(b"a" * (n - 1) + b"b") == O.brute_runs(b"a" * (n - 1) + b"b")
     for w in O.random_strings(11, 30, 9000, (1, 2, 4), n_lo=4000):
         assert count_runs(w) == O.brute_runs(w)
 
