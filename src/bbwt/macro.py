@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ranks import _MAX_N
+from ._ranks import _MAX_N, _SMALL
 from .strings import as_text
 from .transforms import _core
 
@@ -134,6 +134,21 @@ def _scheme_arrays(w: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts = np.flatnonzero(brk)
     lengths = np.diff(starts, append=n)
     return starts + 1, lengths, src[starts] + 1
+
+
+def _induced_phrase_count(w: bytes) -> int:
+    """induce_bms(w).phrase_count for nonempty bytes w.
+
+    Past _SMALL symbols the phrases are counted from _scheme_arrays' columns,
+    which builds no phrase objects.  Per text after the core, objects against
+    columns: 37 against 31 us at n = 64, 169 against 34 us at 256 and 2.3
+    against 0.13 ms at 2,048 on random 4-symbol text; over the 3,448 sweep
+    texts (up to 512 symbols), 65 ms counting by objects throughout against
+    43 ms with the columns past 64, and 44 and 39 ms past 32 and 128.
+    """
+    if len(w) > _SMALL:
+        return len(_scheme_arrays(w)[0])
+    return induce_bms(w).phrase_count
 
 
 def _phrases(w: bytes, starts, lengths, sources) -> tuple:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ranks import _SMALL, suffix_ranks_np
-from .macro import _INDUCE_LOOP_MAX, _scheme_arrays, induce_bms
+from .macro import _induced_phrase_count
 from .strings import as_text, lyndon_factorize
 from .transforms import _core, bbwt, bwt
 
@@ -38,6 +38,11 @@ def _common_prefix(w: bytes, j: int, i: int) -> int:
     on slice equality: the step doubles from 1 until a slice differs, then
     halves back down to 1.  A slice that runs off the end of w is shorter than
     its partner from j, so it never compares equal.
+
+    Most matches in random text are short, and there the byte loop pays: over
+    the matches of a 2^17-byte random text, galloping from the first byte took
+    96-99 against 32-58 ms at 4 symbols and 188-195 against 70-119 ms at 256.
+    Byte loops of 8 and 32 were within noise of 16.
     """
     n = len(w)
     k = 1
@@ -182,12 +187,7 @@ def measure_report(w) -> MeasureReport:
     fact, r_b = core.fact, core.runs
     r = bwt(w).runs
     z = lz77_factorize(w).z
-    # past the loop crossover, count the scheme's phrase columns rather than
-    # build every phrase object only to count them
-    if n > _INDUCE_LOOP_MAX:
-        phrases = len(_scheme_arrays(w)[0])
-    else:
-        phrases = induce_bms(w).phrase_count
+    phrases = _induced_phrase_count(w)
     ratio = r_b / (z * math.log2(n) ** 2) if n >= 2 else 0.0
     return MeasureReport(n, r, r_b, fact.necklace_count, fact.total_factors,
                          z, phrases, ratio)

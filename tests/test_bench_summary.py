@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -38,17 +39,15 @@ def checkouts(tmp_path):
     # a traced run and a run of another seed on one side only
     _write_run(change, "bulk", 1, {"lz77_factorize.calls": 3.0}, traced=True)
     _write_run(change, "bulk", 9, {"lz77_s": 100.0, "peak_rss_mb": 1.0})
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "lz77_s", "better": "lower"},
-        {"name": "peak_rss_mb", "better": "higher"}]}))
     return parent, change
 
 
-def test_summary_of_synthetic_runs(checkouts, tmp_path):
+def test_summary_of_synthetic_runs(checkouts, tmp_path, monkeypatch):
     parent, change = checkouts
+    monkeypatch.setattr(bench_summary, "_revision",
+                        lambda root: {parent: "aaa", change: "bbb"}[root])
     out = tmp_path / "BENCH.json"
-    assert bench_summary.main([str(parent), str(change), "--out", str(out),
-                               "--parent-rev", "aaa", "--change-rev", "bbb"]) == 0
+    assert bench_summary.main([str(parent), str(change), "--out", str(out)]) == 0
     got = json.loads(out.read_text())
     assert got["parent_revision"] == "aaa" and got["change_revision"] == "bbb"
     bulk = got["workloads"]["bulk"]
@@ -61,23 +60,28 @@ def test_summary_of_synthetic_runs(checkouts, tmp_path):
     # pairs only over the seeds both sides ran
     assert bulk["paired"]["lz77_s"] == {
         "pairs": 5, "change_won": 5, "change_over_parent": 2.5 / 3.0}
-    # peak_rss_mb is declared higher-better here, so the change wins it
-    assert bulk["paired"]["peak_rss_mb"]["change_won"] == 5
+    # a metric wins when it reads lower: the change's peak_rss_mb is higher
+    assert bulk["paired"]["peak_rss_mb"]["change_won"] == 0
     sweep = got["workloads"]["sweep"]
     assert "change" not in sweep and "paired" not in sweep
     assert sweep["parent"]["metrics"]["lz77_s"] == {
         "median": 2.0, "q1": 2.0, "q3": 2.0, "unit": "s"}
 
 
-def test_summary_needs_results(tmp_path):
+def test_summary_needs_results(tmp_path, monkeypatch):
     (tmp_path / "a").mkdir()
+    monkeypatch.setattr(bench_summary, "_revision", lambda root: "a")
     assert bench_summary.main([str(tmp_path / "a"), str(tmp_path / "a"),
-                               "--out", str(tmp_path / "x.json"),
-                               "--parent-rev", "a", "--change-rev", "b"]) == 1
+                               "--out", str(tmp_path / "x.json")]) == 1
     assert not (tmp_path / "x.json").exists()
 
 
-def test_revision_outside_git_needs_a_flag(tmp_path):
+def test_revision_of_a_git_checkout(tmp_path):
     with pytest.raises(SystemExit):
-        bench_summary._revision(tmp_path, None)
-    assert bench_summary._revision(tmp_path, "abc") == "abc"
+        bench_summary._revision(tmp_path)
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert len(head) == 40 and bench_summary._revision(tmp_path) == head

@@ -287,10 +287,11 @@ def test_common_prefix_against_slices():
 
 
 def test_measure_report_counts_phrases_across_the_crossover():
-    # past the loop crossover the count comes from the scheme's columns
+    # past _SMALL the count comes from the scheme's columns, while induce_bms
+    # builds its phrases in a loop up to 2,048 symbols
     rng = random.Random(9)
     fib = fibonacci_word(18)
-    for n in (2047, 2048, 2049, 3000):
+    for n in (1, 2, 63, 64, 65, 66, 300, 2047, 2048, 2049, 3000):
         for w in (bytes(rng.randrange(97, 101) for _ in range(n)), fib[:n],
                   b"ab" * (n // 2) + b"a" * (n % 2)):
             assert measure_report(w).bms_phrases == induce_bms(w).phrase_count

@@ -1,7 +1,6 @@
 """Summarise benchmark runs of a parent and a change checkout into one JSON file.
 
-    python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \
-        [--parent-rev REV] [--change-rev REV]
+    python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
 
 Each checkout's perfbench/results/*.json files (written by perfbench/run.py
 with --trace 0; traced runs are skipped) are grouped by workload.  For every
@@ -9,12 +8,11 @@ workload and side the output gives the seeds, the runs, the attempted and
 failed operations, and the median and quartiles of every end-to-end metric.
 Where both sides ran the same seed, the runs pair up: for each metric the
 output gives the change's median over the parent's and how many pairs the
-change won.  A metric's better direction comes from BENCHMARK.json in the
-change checkout; without it, lower is taken as better.
+change won, that is, read lower (every end-to-end metric in BENCHMARK.json
+is better lower).
 
-A revision defaults to `git rev-parse HEAD` in its checkout; give it with
---parent-rev or --change-rev when the checkout is not a git repository.
-Standard library only.
+Both checkouts must be git repositories (made with `git clone`); each one's
+revision is its `git rev-parse HEAD`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,15 +25,12 @@ import sys
 from pathlib import Path
 
 
-def _revision(root: Path, given: str | None) -> str:
-    if given:
-        return given
+def _revision(root: Path) -> str:
     try:
         proc = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                               capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
-        raise SystemExit(f"bench_summary: {root} is not a git checkout; "
-                         "give its revision with --parent-rev or --change-rev") from None
+        raise SystemExit(f"bench_summary: {root} is not a git checkout") from None
     return proc.stdout.strip()
 
 
@@ -75,8 +70,7 @@ def side_summary(runs: dict[int, dict]) -> dict:
     }
 
 
-def compare(parent: dict[int, dict], change: dict[int, dict],
-            lower_better: dict[str, bool]) -> dict:
+def compare(parent: dict[int, dict], change: dict[int, dict]) -> dict:
     seeds = sorted(set(parent) & set(change))
     out = {}
     if not seeds:
@@ -86,28 +80,18 @@ def compare(parent: dict[int, dict], change: dict[int, dict],
                  for s in seeds if name in change[s]["metrics"]]
         if not pairs:
             continue
-        lower = lower_better.get(name, True)
         p_med = statistics.median(p for p, _ in pairs)
         c_med = statistics.median(c for _, c in pairs)
         out[name] = {
             "pairs": len(pairs),
-            "change_won": sum((c < p) if lower else (c > p) for p, c in pairs),
+            "change_won": sum(c < p for p, c in pairs),
             "change_over_parent": c_med / p_med if p_med else None,
         }
     return out
 
 
-def _directions(change_root: Path) -> dict[str, bool]:
-    spec = change_root / "BENCHMARK.json"
-    if not spec.is_file():
-        return {}
-    decl = json.loads(spec.read_text())
-    return {m["name"]: m.get("better", "lower") == "lower" for m in decl.get("end_to_end", [])}
-
-
 def summarize(parent_root: Path, change_root: Path, parent_rev: str, change_rev: str) -> dict:
     parent, change = load_runs(parent_root), load_runs(change_root)
-    lower_better = _directions(change_root)
     workloads = {}
     for name in sorted(set(parent) | set(change)):
         entry = {}
@@ -116,7 +100,7 @@ def summarize(parent_root: Path, change_root: Path, parent_rev: str, change_rev:
         if name in change:
             entry["change"] = side_summary(change[name])
         if name in parent and name in change:
-            entry["paired"] = compare(parent[name], change[name], lower_better)
+            entry["paired"] = compare(parent[name], change[name])
         workloads[name] = entry
     return {"parent_revision": parent_rev, "change_revision": change_rev,
             "workloads": workloads}
@@ -127,12 +111,9 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--parent-rev")
-    ap.add_argument("--change-rev")
     args = ap.parse_args(argv)
     summary = summarize(args.parent, args.change,
-                        _revision(args.parent, args.parent_rev),
-                        _revision(args.change, args.change_rev))
+                        _revision(args.parent), _revision(args.change))
     if not summary["workloads"]:
         print("bench_summary: no untraced results found", file=sys.stderr)
         return 1
