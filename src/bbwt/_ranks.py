@@ -54,13 +54,24 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
         distinct = refined
 
 
+def cyclic_ranks(symbols: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, pred) of symbols cut into consecutive cyclic segments of the
+    given int64 lengths: power_ranks of every position, and the 0-based
+    position cyclically preceding it inside its segment.
+    """
+    starts = np.cumsum(lens) - lens
+    ranks = power_ranks(symbols, np.repeat(starts, lens), np.repeat(lens, lens))
+    pred = np.arange(-1, symbols.size - 1)
+    pred[starts] += lens
+    return ranks, pred
+
+
 def suffix_ranks_np(data: bytes) -> np.ndarray:
     """Dense 0-based ranks of all suffixes of data (smallest suffix gets 0)."""
     n = len(data)
     arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
     ext = np.concatenate([arr, np.zeros(1, dtype=np.int64)])  # unique least terminator
-    m = n + 1
-    ranks = power_ranks(ext, np.zeros(m, dtype=np.int64), np.full(m, m, dtype=np.int64))
+    ranks, _ = cyclic_ranks(ext, np.array([n + 1], dtype=np.int64))
     return ranks[:n] - 1
 
 
@@ -72,8 +83,7 @@ def rotation_ranks(x: bytes) -> list[int]:
     """
     n = len(x)
     if n > _SMALL:
-        ranks = power_ranks(np.frombuffer(x, dtype=np.uint8), np.zeros(n, dtype=np.int64),
-                            np.full(n, n, dtype=np.int64))
+        ranks, _ = cyclic_ranks(np.frombuffer(x, dtype=np.uint8), np.array([n], dtype=np.int64))
         return ranks.tolist()
     doubled = x + x
     keys = [doubled[i:i + n] for i in range(n)]

@@ -25,6 +25,8 @@ def _read_input(args) -> bytes:
             data = data[:-2]
         elif data.endswith(b"\n"):
             data = data[:-1]
+    if not data:
+        raise ValueError("empty input")
     if len(data) > args.max_bytes:
         raise ValueError(
             f"input is {len(data)} bytes, over the --max-bytes limit of {args.max_bytes}")
@@ -41,11 +43,9 @@ def _write_output(args, data: bytes) -> None:
 
 
 def _cmd_transform(args) -> int:
+    if args.csa and args.mode not in ("bwt", "bbwt"):
+        raise ValueError("--csa applies to forward transforms only")
     data = _read_input(args)
-    if not data:
-        print("error: empty input", file=sys.stderr)
-        return 2
-    csa = None
     if args.mode == "bwt":
         res = transforms.bwt(data)
         out, csa = res.output, res.csa
@@ -57,10 +57,6 @@ def _cmd_transform(args) -> int:
     else:  # ibbwt
         out = transforms.bbwt_inverse(data)
     if args.csa:
-        if csa is None:
-            print("error: --csa applies to forward transforms only",
-                  file=sys.stderr)
-            return 2
         with open(args.csa, "w") as fh:
             fh.write("".join(f"{v}\n" for v in csa))
     _write_output(args, out)
@@ -91,9 +87,6 @@ def _cmd_measure(args) -> int:
     else:
         data = _read_input(args)
         input_id = args.input or "-"
-    if not data:
-        print("error: empty input", file=sys.stderr)
-        return 2
     fields = _measure_fields(data, input_id)
     pairs = [f"{k}={v}" for k, v in fields]
     text = " ".join(pairs) + "\n" if args.porcelain else "\n".join(pairs) + "\n"
@@ -103,9 +96,6 @@ def _cmd_measure(args) -> int:
 
 def _cmd_bms(args) -> int:
     data = _read_input(args)
-    if not data:
-        print("error: empty input", file=sys.stderr)
-        return 2
     if args.action == "build":
         _write_output(args, macro._induced_scheme_text(data).encode())
         return 0
@@ -128,9 +118,6 @@ def _cmd_bms(args) -> int:
 
 def _cmd_rotopt(args) -> int:
     data = _read_input(args)
-    if not data:
-        print("error: empty input", file=sys.stderr)
-        return 2
     if args.table:
         runs = rotation.all_rotation_runs(data)
         best_runs = min(runs)
@@ -145,9 +132,6 @@ def _cmd_rotopt(args) -> int:
 
 def _cmd_lynrot(args) -> int:
     data = _read_input(args)
-    if not data:
-        print("error: empty input", file=sys.stderr)
-        return 2
     sizes = rotation.all_rotation_factorization_sizes(data)
     line = " ".join(f"({t},{k})" for t, k in sizes.by_start)
     _write_output(args, (line + "\n").encode())

@@ -5,7 +5,7 @@ whole-class orbit connectivity checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb
 
 import numpy as np
 
@@ -39,7 +39,8 @@ class OrbitBudgetError(RuntimeError):
 # about 158 bytes of Python heap per stored string, and orbit_connected about
 # 91 per member (2.69M members, 245 MB: rows, images and index maps in numpy,
 # plus a fixed 50 MB for one transform chunk), so a full budget costs about
-# 1.6 GB and 0.9 GB.
+# 1.6 GB and 0.9 GB.  So orbit_connected also refuses a class whose members
+# take more than 24 * budget bytes, the size of a full budget at n = 24.
 SEARCH_BUDGET = 10_000_000
 
 
@@ -109,10 +110,29 @@ def canonical_smallest(p: ParikhVector) -> bytes:
 
 def class_size(p: ParikhVector) -> int:
     """Number of distinct strings with these symbol counts (multinomial)."""
-    size = factorial(p.n)
+    size, placed = 1, 0
     for _, e in p.counts:
-        size //= factorial(e)
+        placed += e
+        size *= comb(placed, e)
     return size
+
+
+def _class_size_within(p: ParikhVector, budget: int) -> int | None:
+    """class_size(p) if it is at most budget, else None.
+
+    A running product of the multinomial stops once it passes budget.  The
+    largest count goes first, so every later factor (placed + i) / i is at
+    least 2 and the product takes at most log2(budget) + 1 steps.
+    """
+    first, *rest = sorted((e for _, e in p.counts), reverse=True)
+    size, placed = 1, first
+    for e in rest:
+        for i in range(1, e + 1):
+            size = size * (placed + i) // i
+            if size > budget:
+                return None
+        placed += e
+    return size if size <= budget else None
 
 
 def _lcp_len(x: bytes, y: bytes) -> int:
@@ -323,10 +343,15 @@ def orbit_connected(p: ParikhVector,
     member is seen.  When disconnected, the witness pairs the sorted string
     with the first member outside its orbit.
     """
-    size = class_size(p)
-    if size > budget:
+    size = _class_size_within(p, budget)
+    if size is None:
+        # an exact count takes 5 ms at 10^4 symbols but 39 s at 2 * 10^6
+        shown = class_size(p) if p.n <= 10_000 else f"more than {budget}"
+        raise OrbitBudgetError(f"class has {shown} members, budget is {budget}")
+    if size * p.n > 24 * budget:  # members cost n bytes each; see SEARCH_BUDGET
         raise OrbitBudgetError(
-            f"class has {size} members, budget is {budget}")
+            f"class has {size} members of {p.n} bytes, over the "
+            f"{24 * budget} bytes its budget of {budget} allows")
     roots = (_roots_per_member if size < BATCH_MIN else _roots_batched)(p, size)
     connected = len(roots) == 1
     witness = None if connected else (roots[0], roots[1])

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ranks import power_ranks, rotation_ranks
-from .strings import as_text, is_lyndon, rot
+from ._ranks import cyclic_ranks, rotation_ranks
+from .strings import _lyndon_prefix, as_text, is_lyndon, rot
 from .transforms import bbwt
 
 
@@ -168,21 +168,6 @@ def right_lyndon_tree(w) -> LyndonTree:
     return LyndonTree("RIGHT", _realize(stack[0], n))
 
 
-def _longest_proper_lyndon_prefix(w: bytes, i: int, j: int) -> int:
-    """Length of the longest Lyndon prefix of w[i:j] shorter than the segment."""
-    m = j - i
-    best = 1
-    p = 1
-    for t in range(1, m - 1):
-        c, d = w[i + t], w[i + t - p]
-        if c < d:
-            break
-        if c > d:
-            p = t + 1
-            best = p
-    return best
-
-
 def left_lyndon_tree(w) -> LyndonTree:
     """Recursive split at the longest proper Lyndon prefix."""
     w = as_text(w)
@@ -197,7 +182,7 @@ def left_lyndon_tree(w) -> LyndonTree:
         i, j = stack.pop()
         if j - i == 1:
             continue
-        length = _longest_proper_lyndon_prefix(w, i, j)
+        length = _lyndon_prefix(w, i, j - 1)  # the longest proper one of w[i:j]
         pending.append((i, j, length))
         stack.append((i, i + length))
         stack.append((i + length, j))
@@ -297,17 +282,14 @@ def _factor_codes(factors: list[bytes]) -> tuple[np.ndarray, list[int]]:
     """(codes, firsts): the output code of every rotation of every factor,
     factor after factor, and where each factor's codes begin.
 
-    A code is the rotation's omega rank (one power_ranks call over all the
+    A code is the rotation's omega rank (one cyclic_ranks call over all the
     factors as segments) times 256 plus its last symbol, the one the
     transform outputs for it; equal ranks carry equal symbols.
     """
     lens = np.array([len(f) for f in factors], dtype=np.int64)
-    firsts = np.cumsum(lens) - lens
     symbols = np.frombuffer(b"".join(factors), dtype=np.uint8)
-    omega = power_ranks(symbols, np.repeat(firsts, lens), np.repeat(lens, lens))
-    pred = np.arange(-1, symbols.size - 1)  # cyclic predecessor in the factor
-    pred[firsts] += lens
-    return omega * 256 + symbols[pred], firsts.tolist()
+    omega, pred = cyclic_ranks(symbols, lens)
+    return omega * 256 + symbols[pred], (np.cumsum(lens) - lens).tolist()
 
 
 def _frame_runs(u: bytes, nss: list[int], m: int) -> list[int]:

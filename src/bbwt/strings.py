@@ -42,22 +42,29 @@ def is_primitive(x) -> bool:
 
 
 def is_lyndon(x) -> bool:
-    """True iff x is strictly smaller than every proper suffix of x.
-
-    Single scan maintaining the length p of the longest Lyndon prefix
-    period; x is Lyndon exactly when p reaches len(x).
-    """
+    """True iff x is strictly smaller than every proper suffix of x, that is,
+    iff its longest Lyndon prefix is all of x."""
     x = as_text(x)
     if not x:
         raise ValueError("is_lyndon: empty input")
+    return _lyndon_prefix(x, 0, len(x)) == len(x)
+
+
+def _lyndon_prefix(x: bytes, i: int, j: int) -> int:
+    """Length of the longest Lyndon prefix of the nonempty segment x[i:j].
+
+    Duval's scan: x[i:t] stays a power of the Lyndon prefix of length p,
+    possibly cut short, until a symbol below its period ends every longer
+    Lyndon prefix; a symbol above the period makes all of x[i:t + 1] Lyndon.
+    """
     p = 1
-    for j in range(1, len(x)):
-        prev, cur = x[j - p], x[j]
+    for t in range(i + 1, j):
+        cur, prev = x[t], x[t - p]
         if cur < prev:
-            return False
+            break
         if cur > prev:
-            p = j + 1
-    return p == len(x)
+            p = t - i + 1
+    return p
 
 
 @dataclass(frozen=True)

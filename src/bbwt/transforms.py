@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import ne
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._ranks import _SMALL, power_ranks
+from ._ranks import _SMALL, cyclic_ranks
 from .strings import LyndonFactorization, as_text, lyndon_factorize
 
 
@@ -37,24 +37,49 @@ def count_runs(x) -> int:
     return 1 + sum(map(ne, x, x[1:]))
 
 
+def _omega_sort(w: bytes, necklaces) -> tuple[tuple[int, ...], Sequence[int], bytes]:
+    """Sort the rotations of nonempty w's cyclic segments by their infinite powers.
+
+    necklaces spells w as (word, count) pairs; each copy of a word is one
+    segment.  Returns (csa, tpos, output): the 1-based starts in sorted
+    order, ties by start; the 0-based text position of each output symbol,
+    the start's cyclic predecessor in its segment; and the symbols there.
+    Past _SMALL, tpos is a memoryview of an int64 array, so a caller that
+    drops it builds no tuple.
+    """
+    n = len(w)
+    if n <= _SMALL:
+        # by Fine and Wilf, powers of two segments that fit in w together
+        # differ within n symbols unless they are equal
+        keys = [b""]  # keys[p]: power prefix of the rotation at 1-based start p
+        pred = list(range(-2, n - 1))  # pred[p]: 0-based cyclic predecessor of p
+        pos = 0
+        for f, count in necklaces:
+            flen = len(f)
+            reps = f * (n // flen + 2)
+            keys += [reps[off:off + n] for off in range(flen)] * count
+            for _ in range(count):
+                pred[pos + 1] = pos + flen - 1
+                pos += flen
+        csa = tuple(sorted(range(1, n + 1), key=keys.__getitem__))  # stable: ties by start
+        tpos = tuple(map(pred.__getitem__, csa))
+        return csa, tpos, bytes(map(w.__getitem__, tpos))
+    text = np.frombuffer(w, dtype=np.uint8)
+    lens = np.repeat(np.array([len(f) for f, _ in necklaces], dtype=np.int64),
+                     [count for _, count in necklaces])
+    ranks, pred = cyclic_ranks(text, lens)
+    order = np.argsort(ranks * n + np.arange(n))  # unique keys: ties by position
+    tpos_array = pred[order]
+    return tuple((order + 1).data), tpos_array.data, text[tpos_array].tobytes()
+
+
 def bwt(w) -> TransformResult:
     """Last symbols of all cyclic rotations of w, sorted; equal rotations keep text order."""
     w = as_text(w)
     if not w:
         raise ValueError("bwt: empty input")
-    n = len(w)
-    if n <= _SMALL:
-        doubled = w + w
-        order = sorted(range(n), key=lambda i: doubled[i:i + n])
-        out = bytes(w[i - 1] for i in order)
-        csa = tuple(i + 1 for i in order)
-    else:
-        text = np.frombuffer(w, dtype=np.uint8)
-        ranks = power_ranks(text, np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64))
-        order = np.argsort(ranks * n + np.arange(n))  # unique keys: ties by position
-        out = text[order - 1].tobytes()
-        csa = tuple((order + 1).tolist())
-    return TransformResult(out, csa, count_runs(out))
+    csa, _, output = _omega_sort(w, ((w, 1),))
+    return TransformResult(output, csa, count_runs(output))
 
 
 class _Core(NamedTuple):
@@ -69,46 +94,15 @@ class _Core(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _core(w: bytes) -> _Core:
-    """Factorize w once, sort every factor copy's rotations in omega order, and
-    locate each output symbol (the start's cyclic predecessor in its factor).
+    """Factorize w once and sort every factor copy's rotations in omega order.
 
     Copies of one factor have equal rotations; ties go to the text position.
     Callers pass nonempty bytes.  The memo serves the common pattern of several
     views (bbwt, induce_bms, bounds) asked of one text in a row.
     """
     fact = lyndon_factorize(w)
-    n = len(w)
-    if n <= _SMALL:
-        pad = 2 * n  # distinct powers of words no longer than n differ by then
-        keys = [b""]  # keys[p]: power prefix of the rotation at 1-based start p
-        pred = list(range(-2, n - 1))  # pred[p]: 0-based cyclic predecessor of p
-        pos = 0
-        for f, count in fact.necklaces:
-            flen = len(f)
-            reps = f * (pad // flen + 2)
-            keys += [reps[off:off + pad] for off in range(flen)] * count
-            for _ in range(count):
-                pred[pos + 1] = pos + flen - 1
-                pos += flen
-        csa = tuple(sorted(range(1, n + 1), key=keys.__getitem__))  # stable: ties by start
-        tpos = tuple(map(pred.__getitem__, csa))
-        output = bytes(map(w.__getitem__, tpos))
-    else:
-        lens = np.repeat(
-            np.array([len(f) for f, _ in fact.necklaces], dtype=np.int64),
-            [count for _, count in fact.necklaces],
-        )
-        starts = np.cumsum(lens) - lens
-        text = np.frombuffer(w, dtype=np.uint8)
-        ranks = power_ranks(text, np.repeat(starts, lens), np.repeat(lens, lens))
-        order = np.argsort(ranks * n + np.arange(n))  # unique keys: ties by position
-        pred = np.arange(-1, n - 1)  # pred[p]: 0-based cyclic predecessor of p
-        pred[starts] += lens
-        tpos_array = pred[order]
-        csa = tuple((order + 1).tolist())
-        tpos = tuple(tpos_array.tolist())
-        output = text[tpos_array].tobytes()
-    return _Core(fact, csa, tpos, output, count_runs(output))
+    csa, tpos, output = _omega_sort(w, fact.necklaces)
+    return _Core(fact, csa, tuple(tpos), output, count_runs(output))
 
 
 def bbwt(w) -> TransformResult:
@@ -148,26 +142,20 @@ def _bbwt_chunk(rows: np.ndarray) -> np.ndarray:
     minima of the suffix ranks in a row start its Lyndon factors (the last
     factor is the least suffix, the one before it the least suffix of the
     rest, and so on).  Omega ranks of every factor rotation then order each
-    row's output positions, ties by column, as in _core.
+    row's output positions, ties by column, as in _omega_sort.
     """
     count, n = rows.shape
     cells = count * n
     ext = np.zeros((count, n + 1), dtype=np.int16)  # symbol + 1, then terminator 0
     ext[:, :n] = rows
     ext[:, :n] += 1
-    seg = np.arange(0, count * (n + 1), n + 1, dtype=np.int64)
-    suffix = power_ranks(ext.ravel(), np.repeat(seg, n + 1),
-                         np.full(count * (n + 1), n + 1, dtype=np.int64))
+    suffix, _ = cyclic_ranks(ext.ravel(), np.full(count, n + 1, dtype=np.int64))
     suffix = suffix.reshape(count, n + 1)[:, :n]
     is_start = (suffix == np.minimum.accumulate(suffix, axis=1)).ravel()
-    starts = np.flatnonzero(is_start)
-    lens = np.diff(starts, append=cells)
-    factor = np.cumsum(is_start) - 1
     flat = rows.ravel()
-    omega = power_ranks(flat, starts[factor], lens[factor]).reshape(count, n)
-    order = np.argsort(omega * n + np.arange(n), axis=1)  # unique keys: ties by column
-    pred = np.arange(-1, cells - 1)  # pred[p]: cyclic predecessor of p in its factor
-    pred[starts] += lens
+    omega, pred = cyclic_ranks(flat, np.diff(np.flatnonzero(is_start), append=cells))
+    # unique keys: ties by column
+    order = np.argsort(omega.reshape(count, n) * n + np.arange(n), axis=1)
     return flat[pred[order + np.arange(0, cells, n)[:, None]]]
 
 

@@ -121,6 +121,13 @@ def brute_bwt(w):
     return bytes(w[(i - 1) % n] for i in order)
 
 
+def brute_bwt_csa(w):
+    """1-based start of each row of the sorted rotation table (ties by start)."""
+    w = to_bytes(w)
+    n = len(w)
+    return tuple(i + 1 for i in sorted(range(n), key=lambda i: (w[i:] + w[:i], i)))
+
+
 def brute_bbwt(w):
     """(output, csa) from an explicit rotation multiset.
 

@@ -56,7 +56,11 @@ def test_transform_inverse_modes(tmp_path):
     assert dst.read_bytes() == b"c\naab\n"
 
 
-def test_transform_csa_flag_rejected_for_inverse(tmp_path, capsys):
+def test_transform_csa_flag_rejected_for_inverse(tmp_path, capsys, monkeypatch):
+    def refuse(data):
+        raise AssertionError("the inverse ran before --csa was refused")
+
+    monkeypatch.setattr(cli.transforms, "bbwt_inverse", refuse)
     src = tmp_path / "in.txt"
     src.write_bytes(b"baac")
     rc = cli.main(
@@ -66,11 +70,19 @@ def test_transform_csa_flag_rejected_for_inverse(tmp_path, capsys):
     assert "csa" in capsys.readouterr().err.lower()
 
 
-def test_transform_empty_input_is_an_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["transform", "bwt"], id="transform"),
+    pytest.param(["measure"], id="measure"),
+    pytest.param(["bms", "build"], id="bms-build"),
+    pytest.param(["bms", "verify", "scheme.txt"], id="bms-verify"),
+    pytest.param(["rotopt"], id="rotopt"),
+    pytest.param(["lynrot"], id="lynrot"),
+])
+def test_empty_input_is_an_error(argv, tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_bytes(b"")
-    assert cli.main(["transform", "bwt", "-i", str(src)]) == 2
-    assert capsys.readouterr().err != ""
+    assert cli.main([*argv, "-i", str(src)]) == 2
+    assert capsys.readouterr().err == "error: empty input\n"
 
 
 def test_transform_strip_newline(tmp_path):

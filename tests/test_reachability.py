@@ -264,6 +264,22 @@ def test_orbit_budget():
     assert str(math.comb(60, 30)) in str(exc.value)
 
 
+def test_orbit_budget_refuses_before_any_allocation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ran on a class over its budget")
+
+    for name in ("class_size", "_class_rows", "_roots_per_member"):
+        monkeypatch.setattr(reachability, name, refuse)
+    # the exact size, C(2 * 10^6, 10^6), would take tens of seconds to count
+    with pytest.raises(OrbitBudgetError, match="more than 10000000 members"):
+        orbit_connected(ParikhVector(((97, 10**6), (98, 10**6))))
+    # 100,001 members is within budget, but not 100,001 rows of 100,001 bytes
+    with pytest.raises(OrbitBudgetError, match="bytes"):
+        orbit_connected(ParikhVector(((97, 100_000), (98, 1))))
+    with pytest.raises(OrbitBudgetError, match="bytes"):
+        orbit_connected(parikh("a" * 30 + "b"), budget=31)
+
+
 def test_transform_to_smallest_golden():
     assert transform_to_smallest("ba").format() == "r1"
     assert transform_to_smallest("bab").format() == "r2"

@@ -64,6 +64,14 @@ def test_bwt_matches_oracle():
     # n > 64 exercises the rank-based path
     for w in O.random_strings(21, 60, 220, (1, 2, 3, 8), n_lo=50):
         assert bwt(w).output == O.brute_bwt(w)
+    # the whole result on both sides of the crossover, and where rotations tie
+    texts = [*O.random_strings(22, 30, 65, (2, 3, 26), n_lo=63)]
+    for n in (1, 2, 5, 63, 64, 65, 130):
+        texts += [b"a" * n, *((u * n)[:n] for u in (b"ab", b"abc", b"aab", b"aabab"))]
+    for w in texts:
+        got = bwt(w)
+        assert (got.output, got.csa) == (O.brute_bwt(w), O.brute_bwt_csa(w)), w
+        assert got.runs == O.brute_runs(got.output)
 
 
 def test_bbwt_golden():
