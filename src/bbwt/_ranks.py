@@ -34,7 +34,8 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
         return np.empty(0, dtype=np.int64)
     if n >= _MAX_N:
         raise ValueError(f"power_ranks: {n} positions, the limit is {_MAX_N - 1}")
-    succ = seg_start + (np.arange(1, n + 1, dtype=np.int64) - seg_start) % seg_len
+    succ = np.arange(1, n + 1, dtype=np.int64)
+    np.copyto(succ, seg_start, where=succ == seg_start + seg_len)  # wrap to the segment start
     enough = 2 * int(seg_len.max())
     codes = np.cumsum(np.bincount(symbols) > 0) - 1  # dense symbol codes
     key, distinct, k = codes[symbols], int(codes[-1]) + 1, 1

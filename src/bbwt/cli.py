@@ -46,11 +46,8 @@ def _cmd_transform(args) -> int:
     if args.csa and args.mode not in ("bwt", "bbwt"):
         raise ValueError("--csa applies to forward transforms only")
     data = _read_input(args)
-    if args.mode == "bwt":
-        res = transforms.bwt(data)
-        out, csa = res.output, res.csa
-    elif args.mode == "bbwt":
-        res = transforms.bbwt(data)
+    if args.mode in ("bwt", "bbwt"):
+        res = transforms.bwt(data) if args.mode == "bwt" else transforms.bbwt(data)
         out, csa = res.output, res.csa
     elif args.mode == "ibwt-multiset":
         out = b"\n".join(transforms.bwt_inverse_multiset(data)) + b"\n"
