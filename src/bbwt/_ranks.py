@@ -37,7 +37,7 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
     succ = np.arange(1, n + 1, dtype=np.int64)
     np.copyto(succ, seg_start, where=succ == seg_start + seg_len)  # wrap to the segment start
     enough = 2 * int(seg_len.max())
-    codes = np.cumsum(np.bincount(symbols) > 0) - 1  # dense symbol codes
+    codes = (np.bincount(symbols) > 0).cumsum() - 1  # dense symbol codes
     key, distinct, k = codes[symbols], int(codes[-1]) + 1, 1
     while True:
         bits = max((distinct - 1).bit_length(), 1)
@@ -46,7 +46,7 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
         order = np.argsort(key)
         ordered = key[order]
         sorted_ranks = np.zeros(n, dtype=np.int64)
-        np.cumsum(ordered[1:] != ordered[:-1], out=sorted_ranks[1:])
+        (ordered[1:] != ordered[:-1]).cumsum(out=sorted_ranks[1:])
         key = np.empty_like(sorted_ranks)
         key[order] = sorted_ranks
         refined = int(sorted_ranks[-1]) + 1
@@ -55,16 +55,23 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
         distinct = refined
 
 
-def cyclic_ranks(symbols: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ranks, pred) of symbols cut into consecutive cyclic segments of the
-    given int64 lengths: power_ranks of every position, and the 0-based
-    position cyclically preceding it inside its segment.
-    """
-    starts = np.cumsum(lens) - lens
-    ranks = power_ranks(symbols, np.repeat(starts, lens), np.repeat(lens, lens))
-    pred = np.arange(-1, symbols.size - 1)
-    pred[starts] += lens
-    return ranks, pred
+def cyclic_ranks(symbols: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """power_ranks of symbols cut into consecutive cyclic segments of the
+    given int64 lengths."""
+    n = symbols.size
+    if lens.size == 1:
+        return power_ranks(symbols, np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64))
+    starts = lens.cumsum() - lens
+    return power_ranks(symbols, np.repeat(starts, lens), np.repeat(lens, lens))
+
+
+def cyclic_pred(lens: np.ndarray) -> np.ndarray:
+    """The 0-based position cyclically preceding each position inside its
+    segment, for consecutive segments of the given int64 lengths."""
+    ends = lens.cumsum()
+    pred = np.arange(-1, int(ends[-1]) - 1)
+    pred[ends - lens] += lens
+    return pred
 
 
 def suffix_ranks_np(data: bytes) -> np.ndarray:
@@ -72,8 +79,7 @@ def suffix_ranks_np(data: bytes) -> np.ndarray:
     n = len(data)
     arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
     ext = np.concatenate([arr, np.zeros(1, dtype=np.int64)])  # unique least terminator
-    ranks, _ = cyclic_ranks(ext, np.array([n + 1], dtype=np.int64))
-    return ranks[:n] - 1
+    return cyclic_ranks(ext, np.array([n + 1], dtype=np.int64))[:n] - 1
 
 
 def rotation_ranks(x: bytes) -> list[int]:
@@ -84,7 +90,7 @@ def rotation_ranks(x: bytes) -> list[int]:
     """
     n = len(x)
     if n > _SMALL:
-        ranks, _ = cyclic_ranks(np.frombuffer(x, dtype=np.uint8), np.array([n], dtype=np.int64))
+        ranks = cyclic_ranks(np.frombuffer(x, dtype=np.uint8), np.array([n], dtype=np.int64))
         return ranks.tolist()
     doubled = x + x
     keys = [doubled[i:i + n] for i in range(n)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ranks import cyclic_ranks, rotation_ranks
+from ._ranks import cyclic_pred, cyclic_ranks, rotation_ranks
 from .strings import _lyndon_prefix, as_text, is_lyndon, rot
 from .transforms import bbwt
 
@@ -288,8 +288,8 @@ def _factor_codes(factors: list[bytes]) -> tuple[np.ndarray, list[int]]:
     """
     lens = np.array([len(f) for f in factors], dtype=np.int64)
     symbols = np.frombuffer(b"".join(factors), dtype=np.uint8)
-    omega, pred = cyclic_ranks(symbols, lens)
-    return omega * 256 + symbols[pred], (np.cumsum(lens) - lens).tolist()
+    codes = cyclic_ranks(symbols, lens) * 256 + symbols[cyclic_pred(lens)]
+    return codes, (np.cumsum(lens) - lens).tolist()
 
 
 def _frame_runs(u: bytes, nss: list[int], m: int) -> list[int]:

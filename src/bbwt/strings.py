@@ -12,6 +12,8 @@ from ._ranks import rotation_ranks
 
 Text = bytes
 
+_GALLOP = 16  # equal Duval steps in a row before lyndon_factorize gallops
+
 
 def as_text(x) -> bytes:
     """Coerce input to bytes; str is encoded latin-1."""
@@ -89,6 +91,11 @@ def lyndon_factorize(x) -> LyndonFactorization:
     """Unique factorization of x into a nonincreasing product of Lyndon words.
 
     Duval's scan; each emitted batch is one maximal group of equal factors.
+    The scan compares x[k] with x[j]; after _GALLOP equal steps in a row it
+    extends the match x[k:] == x[j:] by slice compares, doubling the block
+    while it matches, then halving it, so a long periodic stretch costs
+    O(log) Python steps instead of one per symbol.  A gallop that stops
+    short only hands the rest back to the symbol loop.
     """
     x = as_text(x)
     if not x:
@@ -97,10 +104,27 @@ def lyndon_factorize(x) -> LyndonFactorization:
     groups = []
     i = 0
     while i < n:
-        j, k = i + 1, i
-        while j < n and x[k] <= x[j]:
-            k = i if x[k] < x[j] else k + 1
+        j, k, same = i + 1, i, 0
+        while j < n:
+            a, b = x[k], x[j]
+            if a > b:
+                break
             j += 1
+            if a < b:
+                k, same = i, 0
+                continue
+            k += 1
+            same += 1
+            if same == _GALLOP:
+                # a block past the end is cut short there, so it never matches
+                step = _GALLOP
+                while x[k:k + step] == x[j:j + step]:
+                    j, k, step = j + step, k + step, 2 * step
+                while step > 1:
+                    step //= 2
+                    if x[k:k + step] == x[j:j + step]:
+                        j, k = j + step, k + step
+                same = 0
         length = j - k
         count = (j - i) // length
         groups.append((x[i:i + length], count))

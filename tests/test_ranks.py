@@ -3,9 +3,12 @@ most rounds, and on a text over most of the byte alphabet, checked against
 sorting power prefixes of length 2n.  The engine's sorts are counted, and its
 repacking of dense ranks is checked where a sort leaves 2^b or 2^b + 1 ranks.
 
-Every text is longer than the transforms' small-input cutoff, so bbwt, bwt and
-lz77_factorize all run through the rank engine here.  rotation_ranks is also
-checked below that cutoff, where it sorts rotations directly.
+Every text is longer than the transforms' small-input cutoff, so bwt and
+lz77_factorize run every position through the rank engine here.  bbwt does
+too, except on the unary, periodic and equal-copies texts, whose equal
+Lyndon factor copies make up at least half the text: there it ranks one copy
+of each distinct factor (a single symbol for unary text).  rotation_ranks is
+also checked below that cutoff, where it sorts rotations directly.
 """
 
 import random

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as O
 from bbwt import (
@@ -89,6 +91,22 @@ def test_factorize_matches_oracle():
         f = lyndon_factorize(w)
         flat = [fac for fac, cnt in f.necklaces for _ in range(cnt)]
         assert flat == O.brute_lyndon_factors(w)
+
+
+# equal-step runs around the gallop threshold (16) and its doublings
+_RUNS = sorted({15, 16, 17, 31, 32, 33} | {2 ** j + d for j in range(1, 9) for d in (-1, 0, 1)})
+_WORDS = st.lists(st.sampled_from(b"abc"), min_size=1, max_size=40).map(bytes)
+
+
+@given(head=st.sampled_from([b"", b"c", b"cbc"]), u=_WORDS, run=st.sampled_from(_RUNS),
+       tail=st.one_of(st.just(b""), st.lists(st.sampled_from(b"abcd"), max_size=12).map(bytes)))
+def test_factorize_gallop_matches_oracle(head, u, run, tail):
+    # u^k v: the least rotation of u, spelled on for run more symbols, so the
+    # scan's equal steps last about run; an empty tail ends the match at the
+    # end of the text
+    u = smallest_rotation(u)[0]
+    w = head + (u * (run // len(u) + 2))[:len(u) + run] + tail
+    assert list(lyndon_factorize(w).necklaces) == O.brute_lyndon_grouped(w)
 
 
 def test_factorize_properties():

@@ -108,6 +108,85 @@ def test_bbwt_matches_oracle_large_path():
         assert (got.output, got.csa) == (out, csa)
 
 
+def _one_copy_length(w):
+    """Length of one copy of each distinct Lyndon factor of w."""
+    return sum(len(f) for f, _ in lyndon_factorize(w).necklaces)
+
+
+def _lyndon_word(seed, n):
+    rng = random.Random(seed)
+    while True:
+        u = bytes(rng.choices(b"ab", k=n))
+        if pkg.is_lyndon(u):
+            return u
+
+
+def _one_copy_cases():
+    """(text, whether _omega_sort ranks only its one-copy layout)."""
+    cases = [(b"a" * n, True) for n in (65, 66, 100, 128, 129, 257, 300)]
+    for u in (b"ab", b"abb", b"aabab", b"abc", _lyndon_word(1, 12), _lyndon_word(2, 29)):
+        for k in (3, 8, 40):
+            for head, tail in ((b"", b""), (b"c", b""), (b"", b"a"), (b"cb", b"aab")):
+                w = head + u * k + tail
+                if len(w) > 64:
+                    cases.append((w, 2 * _one_copy_length(w) <= len(w)))
+    # (abb)^i (ab)^j a^k: three necklaces of equal copies
+    cases += [(b"abb" * i + b"ab" * j + b"a" * k, True)
+              for i, j, k in ((4, 10, 40), (10, 10, 10), (20, 1, 1), (1, 30, 5), (2, 2, 90))]
+    # one-copy layout at most _SMALL symbols, text past it
+    cases += [(b"c" + b"aabab" * 20 + b"a" * 3, True), (b"abcd" * 17, True)]
+    # the gate's boundary: u^2 has 2m = n; u^2 a has 2m = n + 1
+    for size in (33, 40, 64, 65):
+        u = _lyndon_word(size, size)
+        cases += [(u * 2, True), (u * 2 + b"a", False)]
+    return cases
+
+
+def test_bbwt_one_copy_layout_matches_oracle():
+    from test_macro import brute_induced_phrases
+
+    for w, one_copy in _one_copy_cases():
+        assert (2 * _one_copy_length(w) <= len(w)) == one_copy, w
+        got = bbwt(w)
+        assert (got.output, got.csa) == O.brute_bbwt(w), w
+        assert got.runs == O.brute_runs(got.output)
+        assert pkg.induce_bms(w).phrases == brute_induced_phrases(w), w
+
+
+def _omega_sort_both_layouts(w, monkeypatch):
+    """_omega_sort of w's factorization and of the same copies listed one by
+    one (which ranks every position); returns both and the ranked sizes."""
+    sizes = []
+    real = transforms.cyclic_ranks
+
+    def recording(symbols, lens):
+        sizes.append(int(symbols.size))
+        return real(symbols, lens)
+
+    monkeypatch.setattr(transforms, "cyclic_ranks", recording)
+    necklaces = lyndon_factorize(w).necklaces
+    grouped = transforms._omega_sort(w, necklaces)
+    single = transforms._omega_sort(w, [(f, 1) for f, count in necklaces for _ in range(count)])
+    return [(csa, list(tpos), out) for csa, tpos, out in (grouped, single)], sizes
+
+
+def test_one_copy_layout_ranks_the_period_only(monkeypatch):
+    from test_ranks import periodic_1009
+
+    w = periodic_1009(1 << 13)
+    (grouped, single), sizes = _omega_sort_both_layouts(w, monkeypatch)
+    assert grouped == single
+    assert sizes == [_one_copy_length(w), len(w)]
+    assert 1009 <= sizes[0] < 2 * 1009
+
+
+@pytest.mark.parametrize("w", [b"a" * 5000, b"ab" * 3000 + b"a", b"b" + b"aab" * 700 + b"aa"],
+                         ids=["unary", "ab-power", "aab-power"])
+def test_one_copy_layout_matches_full_layout(w, monkeypatch):
+    (grouped, single), sizes = _omega_sort_both_layouts(w, monkeypatch)
+    assert grouped == single
+    assert sizes == [_one_copy_length(w), len(w)]
+
 
 def _check_rows(rows):
     got = _bbwt_rows(rows)
