@@ -1,5 +1,7 @@
 """Prefix-doubling rank engine (numpy) shared by the transform and measure paths.
 
+Callers give the symbols and the lengths of the consecutive cyclic segments
+they are cut into; successors wrap with one scatter at the segment ends.
 Keys are int64 codes of at most 63 bits.  A stretch of doublings packs each
 position's code with its successor's (key << bits | key[succ]) while the
 doubled width fits; one unstable argsort then turns the codes into dense
@@ -14,11 +16,12 @@ _SMALL = 64  # below this, plain python sorting beats numpy setup cost
 _MAX_N = 1 << 31  # dense ranks of < 2^31 positions fit 31 bits, so a pack always fits
 
 
-def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray) -> np.ndarray:
+def power_ranks(symbols: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Rank positions by the infinite repetition of the rotation starting there.
 
-    Position p belongs to a segment (seg_start/seg_len, a cyclic word
-    occurrence) read cyclically from p; succ maps p to its k-th successor.
+    symbols is cut into consecutive cyclic segments of the given int64
+    lengths (each at least 1), and each position is read cyclically from
+    there inside its segment; succ maps p to its k-th successor.
     Ranks are equal exactly for rotations whose infinite repetitions coincide.
     Length-k prefixes are packed into one code while it fits 63 bits, starting
     from dense symbol codes and, after each sort, from the dense ranks, so a
@@ -34,9 +37,10 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
         return np.empty(0, dtype=np.int64)
     if n >= _MAX_N:
         raise ValueError(f"power_ranks: {n} positions, the limit is {_MAX_N - 1}")
+    ends = lens.cumsum()
     succ = np.arange(1, n + 1, dtype=np.int64)
-    np.copyto(succ, seg_start, where=succ == seg_start + seg_len)  # wrap to the segment start
-    enough = 2 * int(seg_len.max())
+    succ[ends - 1] = ends - lens  # each segment's last position wraps to its start
+    enough = 2 * int(lens.max())
     codes = (np.bincount(symbols) > 0).cumsum() - 1  # dense symbol codes
     key, distinct, k = codes[symbols], int(codes[-1]) + 1, 1
     while True:
@@ -55,16 +59,6 @@ def power_ranks(symbols: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray)
         distinct = refined
 
 
-def cyclic_ranks(symbols: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """power_ranks of symbols cut into consecutive cyclic segments of the
-    given int64 lengths."""
-    n = symbols.size
-    if lens.size == 1:
-        return power_ranks(symbols, np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64))
-    starts = lens.cumsum() - lens
-    return power_ranks(symbols, np.repeat(starts, lens), np.repeat(lens, lens))
-
-
 def cyclic_pred(lens: np.ndarray) -> np.ndarray:
     """The 0-based position cyclically preceding each position inside its
     segment, for consecutive segments of the given int64 lengths."""
@@ -79,7 +73,7 @@ def suffix_ranks_np(data: bytes) -> np.ndarray:
     n = len(data)
     arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
     ext = np.concatenate([arr, np.zeros(1, dtype=np.int64)])  # unique least terminator
-    return cyclic_ranks(ext, np.array([n + 1], dtype=np.int64))[:n] - 1
+    return power_ranks(ext, np.array([n + 1], dtype=np.int64))[:n] - 1
 
 
 def rotation_ranks(x: bytes) -> list[int]:
@@ -90,7 +84,7 @@ def rotation_ranks(x: bytes) -> list[int]:
     """
     n = len(x)
     if n > _SMALL:
-        ranks = cyclic_ranks(np.frombuffer(x, dtype=np.uint8), np.array([n], dtype=np.int64))
+        ranks = power_ranks(np.frombuffer(x, dtype=np.uint8), np.array([n], dtype=np.int64))
         return ranks.tolist()
     doubled = x + x
     keys = [doubled[i:i + n] for i in range(n)]

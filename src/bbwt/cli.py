@@ -15,11 +15,15 @@ DEFAULT_LIMIT = 1 << 26
 
 
 def _read_input(args) -> bytes:
+    # a stripped newline takes at most 2 bytes, so 3 past the limit are refused
+    # whatever follows them, and nothing further is read
     if args.input:
         with open(args.input, "rb") as fh:
-            data = fh.read()
+            data = fh.read(args.max_bytes + 3)
     else:
-        data = sys.stdin.buffer.read()
+        data = sys.stdin.buffer.read(args.max_bytes + 3)
+    if len(data) > args.max_bytes + 2:
+        raise ValueError(f"input is over the --max-bytes limit of {args.max_bytes}")
     if args.strip_newline:
         if data.endswith(b"\r\n"):
             data = data[:-2]

@@ -153,9 +153,11 @@ def fibonacci_word(k: int, max_length: int = 1 << 26) -> bytes:
         raise ValueError("fibonacci_word: k must be >= 0")
     la, lb = 1, 1  # lengths of words k=1 and k=0
     for _ in range(k - 1):
+        if la > max_length:  # lengths only grow: stop before the big integers do
+            break
         la, lb = la + lb, la
     if la > max_length:
-        raise ValueError(f"fibonacci_word: length {la} exceeds limit {max_length}")
+        raise ValueError(f"fibonacci_word: word {k} is longer than the limit {max_length}")
     if k == 0:
         return b"b"
     prev, cur = b"b", b"a"

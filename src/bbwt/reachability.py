@@ -325,11 +325,11 @@ class OrbitReport:
     witness: tuple[bytes, bytes] | None
 
 
-# Classes of at least this many members take the batched path.  One bbwt
-# call per member costs about 19 us a member at n <= 14; the batch's numpy
-# set-up makes it dearer below about 30 members, and 6.5 us a member from 80
-# on.  Up to 71 members both paths still meet tests on disconnected classes.
-BATCH_MIN = 72
+# Classes of at least this many members take the batched path.  Timed on the
+# ternary classes to n = 7, a class of 15 members took 112 us member by member
+# and 136 us batched, one of 20 members 140-160 against 132-144 us; long rows
+# move the crossover up (a^(n-1) b batches faster from about 40 members).
+BATCH_MIN = 20
 
 
 def orbit_connected(p: ParikhVector,

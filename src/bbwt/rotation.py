@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ranks import cyclic_pred, cyclic_ranks, rotation_ranks
+from ._ranks import cyclic_pred, power_ranks, rotation_ranks
 from .strings import _lyndon_prefix, as_text, is_lyndon, rot
 from .transforms import bbwt
 
@@ -282,13 +282,13 @@ def _factor_codes(factors: list[bytes]) -> tuple[np.ndarray, list[int]]:
     """(codes, firsts): the output code of every rotation of every factor,
     factor after factor, and where each factor's codes begin.
 
-    A code is the rotation's omega rank (one cyclic_ranks call over all the
+    A code is the rotation's omega rank (one power_ranks call over all the
     factors as segments) times 256 plus its last symbol, the one the
     transform outputs for it; equal ranks carry equal symbols.
     """
     lens = np.array([len(f) for f in factors], dtype=np.int64)
     symbols = np.frombuffer(b"".join(factors), dtype=np.uint8)
-    codes = cyclic_ranks(symbols, lens) * 256 + symbols[cyclic_pred(lens)]
+    codes = power_ranks(symbols, lens) * 256 + symbols[cyclic_pred(lens)]
     return codes, (np.cumsum(lens) - lens).tolist()
 
 

@@ -5,10 +5,9 @@ Lyndon factors in omega order.  Both report the circular suffix array: entry i
 is the 1-based text position starting the i-th sorted rotation, so the output
 symbol at i sits at the cyclic predecessor of csa[i] inside its factor.
 
-One sorter serves both.  Past the small-input cutoff it ranks rotations with
-the prefix-doubling engine; when equal factor copies make up at least half
-of the text, it ranks only one copy of each distinct factor and expands each
-sorted rotation into its copies, so a periodic text costs its period.
+One sorter serves both.  Past the small-input cutoff it ranks the rotations
+of one copy of each factor with the prefix-doubling engine, gives every
+further copy those ranks, and sorts by rank, ties by text position.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._ranks import _SMALL, cyclic_pred, cyclic_ranks
+from ._ranks import _SMALL, cyclic_pred, power_ranks
 from .strings import LyndonFactorization, as_text, lyndon_factorize
 
 
@@ -51,11 +50,6 @@ def _omega_sort(w: bytes, necklaces) -> tuple[tuple[int, ...], Sequence[int], by
     the start's cyclic predecessor in its segment; and the symbols there.
     Past _SMALL, tpos is a memoryview of an int64 array, so a caller that
     drops it builds no tuple.
-
-    Past _SMALL, when the copies make up at least half of w (2m <= n, m the
-    length of one copy of each word), only the one-copy layout is ranked;
-    that needs the words to be distinct Lyndon words, as lyndon_factorize
-    gives them.  Otherwise every position of w is ranked.
     """
     n = len(w)
     if n <= _SMALL:
@@ -74,33 +68,20 @@ def _omega_sort(w: bytes, necklaces) -> tuple[tuple[int, ...], Sequence[int], by
         csa = tuple(sorted(range(1, n + 1), key=keys.__getitem__))  # stable: ties by start
         tpos = tuple(map(pred.__getitem__, csa))
         return csa, tpos, bytes(map(w.__getitem__, tpos))
-    lens = [len(f) for f, _ in necklaces]
-    counts = [count for _, count in necklaces]
-    m = sum(lens)
-    if 2 * m > n:
-        text = np.frombuffer(w, dtype=np.uint8)
-        seg_lens = np.repeat(np.array(lens, dtype=np.int64), counts)
-        # unique keys: ties by position
-        order = np.argsort(cyclic_ranks(text, seg_lens) * n + np.arange(n))
-        tpos_array = cyclic_pred(seg_lens)[order]
-        return tuple((order + 1).data), tpos_array.data, text[tpos_array].tobytes()
-    # one copy per necklace: rotations of distinct Lyndon words never tie, so
-    # the ranks of the one-copy layout are a permutation, and each sorted
-    # layout position q of a necklace (u, count) stands for the text
-    # positions of q in u's copies c = 0 .. count - 1, in text order
-    ones = np.frombuffer(b"".join(f for f, _ in necklaces), dtype=np.uint8)
-    lens, counts = np.array(lens, dtype=np.int64), np.array(counts, dtype=np.int64)
-    order = np.empty(m, dtype=np.int64)
-    order[cyclic_ranks(ones, lens)] = np.arange(m)
-    reps = np.repeat(counts, lens)[order]
-    q = np.repeat(order, reps)  # layout position of each sorted cell
-    copy = np.arange(n) - np.repeat(reps.cumsum() - reps, reps)
-    span = lens * counts
-    shift = np.repeat(span.cumsum() - span - lens.cumsum() + lens, lens)  # text - layout start
-    offset = shift[q] + np.repeat(lens, lens)[q] * copy
-    tpos_array = cyclic_pred(lens)[q] + offset
+    lens = np.array([len(f) for f, _ in necklaces], dtype=np.int64)
+    counts = np.array([count for _, count in necklaces], dtype=np.int64)
+    # copies of a word have equal rotations: rank one copy of each
+    rank = power_ranks(np.frombuffer(b"".join(f for f, _ in necklaces), dtype=np.uint8), lens)
+    copy_lens = np.repeat(lens, counts)  # one segment per copy
+    pos = np.arange(n)
+    if copy_lens.size > lens.size:  # each copy reads its ranks off its word's one copy
+        # text start of each copy less the one-copy start of its word
+        shift = copy_lens.cumsum() - copy_lens - np.repeat(lens.cumsum() - lens, counts)
+        rank = rank[pos - np.repeat(shift, copy_lens)]
+    order = np.argsort(rank * n + pos)  # unique keys: ties by position
+    tpos_array = cyclic_pred(copy_lens)[order]
     output = np.frombuffer(w, dtype=np.uint8)[tpos_array].tobytes()
-    return tuple((q + offset + 1).data), tpos_array.data, output
+    return tuple((order + 1).data), tpos_array.data, output
 
 
 def bwt(w) -> TransformResult:
@@ -179,12 +160,12 @@ def _bbwt_chunk(rows: np.ndarray) -> np.ndarray:
     ext = np.zeros((count, n + 1), dtype=np.int16)  # symbol + 1, then terminator 0
     ext[:, :n] = rows
     ext[:, :n] += 1
-    suffix = cyclic_ranks(ext.ravel(), np.full(count, n + 1, dtype=np.int64))
+    suffix = power_ranks(ext.ravel(), np.full(count, n + 1, dtype=np.int64))
     suffix = suffix.reshape(count, n + 1)[:, :n]
     is_start = (suffix == np.minimum.accumulate(suffix, axis=1)).ravel()
     flat = rows.ravel()
     lens = np.diff(np.flatnonzero(is_start), append=cells)
-    omega, pred = cyclic_ranks(flat, lens), cyclic_pred(lens)
+    omega, pred = power_ranks(flat, lens), cyclic_pred(lens)
     # unique keys: ties by column
     order = np.argsort(omega.reshape(count, n) * n + np.arange(n), axis=1)
     return flat[pred[order + np.arange(0, cells, n)[:, None]]]

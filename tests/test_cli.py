@@ -1,11 +1,13 @@
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from bbwt import (
     bbwt,
+    bwt,
     best_rotation,
     cli,
     induce_bms,
@@ -375,6 +377,45 @@ def test_fib_command(capsys):
 def test_fib_command_guard(capsys):
     assert cli.main(["fib", "40", "--max-bytes", "1000"]) == 2
     capsys.readouterr()
+
+
+def test_fib_command_guard_on_a_huge_index(capsys):
+    start = time.perf_counter()
+    assert cli.main(["fib", "1000000000", "--max-bytes", "1000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+
+
+class _CountingStdin:
+    """A stdin whose buffer hands out data and counts the bytes read."""
+
+    def __init__(self, data):
+        self.buffer, self.data, self.taken = self, data, 0
+
+    def read(self, size=-1):
+        stop = len(self.data) if size < 0 else self.taken + size
+        chunk = self.data[self.taken:stop]
+        self.taken += len(chunk)
+        return chunk
+
+
+@pytest.mark.parametrize("strip", [False, True])
+def test_stdin_read_stops_past_max_bytes(monkeypatch, capsys, strip):
+    limit = 100
+    body = bytes(random.Random(limit).choices(b"abc", k=limit))
+    cases = [(body, True), (body + b"c", False), (body * 10**4, False),
+             (body + b"\n", strip), (body + b"\r\n", strip), (body + b"c\n", False),
+             (body + b"c\r\n", False), (body + b"\n\n", False)]
+    flags = ["--strip-newline"] if strip else []
+    for data, accepted in cases:
+        stdin = _CountingStdin(data)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        rc = cli.main(["transform", "bwt", "--max-bytes", str(limit)] + flags)
+        out = capsys.readouterr().out
+        assert rc == (0 if accepted else 2), data[limit:]
+        assert stdin.taken <= limit + 3
+        if accepted:
+            assert out.encode() == bwt(body).output
 
 
 def test_console_script_installed():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -120,6 +121,15 @@ def test_fibonacci_word_length_guard():
         fibonacci_word(-1)
     # right at the boundary is fine
     assert len(fibonacci_word(16, max_length=1597)) == 1597
+
+
+def test_fibonacci_word_refuses_a_huge_index_at_once():
+    # the length recurrence stops once it passes the limit, so k = 10^9 does
+    # not first run a billion big-integer additions
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        fibonacci_word(10**9, max_length=1000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_measure_report_worked_example():

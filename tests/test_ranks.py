@@ -3,12 +3,13 @@ most rounds, and on a text over most of the byte alphabet, checked against
 sorting power prefixes of length 2n.  The engine's sorts are counted, and its
 repacking of dense ranks is checked where a sort leaves 2^b or 2^b + 1 ranks.
 
-Every text is longer than the transforms' small-input cutoff, so bwt and
-lz77_factorize run every position through the rank engine here.  bbwt does
-too, except on the unary, periodic and equal-copies texts, whose equal
-Lyndon factor copies make up at least half the text: there it ranks one copy
-of each distinct factor (a single symbol for unary text).  rotation_ranks is
-also checked below that cutoff, where it sorts rotations directly.
+The engine takes segment lengths; the brute oracle takes each position's
+segment start and length, spelled out from the same lengths.  Every text is
+longer than the transforms' small-input cutoff, so bwt and lz77_factorize
+run every position through the rank engine here.  bbwt ranks one copy of
+each distinct Lyndon factor (a single symbol for unary text) and gives the
+further copies its ranks.  rotation_ranks is also checked below that
+cutoff, where it sorts rotations directly.
 """
 
 import random
@@ -57,11 +58,21 @@ SIZES = [65, 96, 130, 257, 400]
 TEXTS = [pytest.param(kind(n), id=f"{kind.__name__}-{n}") for kind in KINDS for n in SIZES]
 
 
-def factor_segments(w):
-    """(seg_start, seg_len) of each position's Lyndon factor copy."""
+def factor_lens(w):
+    """Length of each Lyndon factor copy of w, in text order."""
     lens = [len(f) for f, count in lyndon_factorize(w).necklaces for _ in range(count)]
-    starts = np.cumsum([0] + lens[:-1])
-    return np.repeat(starts, lens), np.repeat(lens, lens)
+    return np.array(lens, dtype=np.int64)
+
+
+def text_lens(w):
+    """w as one segment."""
+    return np.array([len(w)], dtype=np.int64)
+
+
+def per_position(lens):
+    """(seg_start, seg_len) of each position, for consecutive segments of the
+    given lengths."""
+    return np.repeat(lens.cumsum() - lens, lens), np.repeat(lens, lens)
 
 
 def brute_power_ranks(w, seg_start, seg_len):
@@ -76,9 +87,9 @@ def brute_power_ranks(w, seg_start, seg_len):
 
 @pytest.mark.parametrize("w", TEXTS)
 def test_power_ranks_on_factor_rotations(w):
-    seg_start, seg_len = factor_segments(w)
-    got = power_ranks(np.frombuffer(w, dtype=np.uint8), seg_start, seg_len)
-    assert got.tolist() == brute_power_ranks(w, seg_start, seg_len)
+    lens = factor_lens(w)
+    got = power_ranks(np.frombuffer(w, dtype=np.uint8), lens)
+    assert got.tolist() == brute_power_ranks(w, *per_position(lens))
 
 
 def near_periodic(root, n):
@@ -99,20 +110,17 @@ SEGMENT_SETS = [
 def test_power_ranks_on_segments_of_many_lengths(segments):
     # the doubling stops at twice the longest segment, far short of twice
     # all positions; checked against power prefixes of twice all positions
-    lens = [len(s) for s in segments]
+    lens = np.array([len(s) for s in segments], dtype=np.int64)
     w = b"".join(segments)
-    seg_start = np.repeat(np.cumsum([0] + lens[:-1]), lens)
-    seg_len = np.repeat(lens, lens)
-    got = power_ranks(np.frombuffer(w, dtype=np.uint8), seg_start, seg_len)
-    assert got.tolist() == brute_power_ranks(w, seg_start, seg_len)
+    got = power_ranks(np.frombuffer(w, dtype=np.uint8), lens)
+    assert got.tolist() == brute_power_ranks(w, *per_position(lens))
 
 
 @pytest.mark.parametrize("w", TEXTS)
 def test_power_ranks_on_text_rotations(w):
-    n = len(w)
-    seg_start, seg_len = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
-    got = power_ranks(np.frombuffer(w, dtype=np.uint8), seg_start, seg_len)
-    assert got.tolist() == brute_power_ranks(w, seg_start, seg_len)
+    lens = text_lens(w)
+    got = power_ranks(np.frombuffer(w, dtype=np.uint8), lens)
+    assert got.tolist() == brute_power_ranks(w, *per_position(lens))
 
 
 @pytest.mark.parametrize("w", TEXTS)
@@ -150,14 +158,12 @@ def sort_counts(monkeypatch):
 def rank_both_ways(w, counts):
     """power_ranks on text and on factor rotations, checked against brute
     force; returns the rank counts after each sort of both calls."""
-    n = len(w)
     seen = []
-    for seg_start, seg_len in ((np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)),
-                               factor_segments(w)):
+    for lens in (text_lens(w), factor_lens(w)):
         counts.clear()
-        got = power_ranks(np.frombuffer(w, dtype=np.uint8), seg_start, seg_len)
+        got = power_ranks(np.frombuffer(w, dtype=np.uint8), lens)
         seen.append(list(counts))
-        assert got.tolist() == brute_power_ranks(w, seg_start, seg_len)
+        assert got.tolist() == brute_power_ranks(w, *per_position(lens))
     return seen
 
 
@@ -204,8 +210,8 @@ def test_power_ranks_repack_at_a_power_of_two(w, count, sort_counts):
 @pytest.mark.parametrize("kind,n,most", [(fibonacci, 1 << 14, 5), (thue_morse, 1 << 14, 5),
                                          (unary, 1 << 14, 1), (unary, 100, 1)])
 def test_power_ranks_sort_count(kind, n, most, sort_counts):
-    seg_start, seg_len = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
-    power_ranks(np.frombuffer(kind(n), dtype=np.uint8), seg_start, seg_len)
+    w = kind(n)
+    power_ranks(np.frombuffer(w, dtype=np.uint8), text_lens(w))
     assert len(sort_counts) <= most
 
 
@@ -214,8 +220,7 @@ def test_power_ranks_size_limit():
     # broadcast views, so nothing of that size is allocated
     n = 1 << 31
     with pytest.raises(ValueError):
-        power_ranks(np.broadcast_to(np.uint8(97), (n,)), np.broadcast_to(np.int64(0), (n,)),
-                    np.broadcast_to(np.int64(n), (n,)))
+        power_ranks(np.broadcast_to(np.uint8(97), (n,)), np.broadcast_to(np.int64(n), (1,)))
 
 
 def brute_rotation_ranks(w):

@@ -243,7 +243,9 @@ def test_orbit_connected_all_distinct():
                                   "abcd", "aabbc"])
 def test_orbit_connected_counts_necklaces_without_transform(monkeypatch, text):
     # with the transform replaced by the identity, the orbits are the
-    # rotation classes (necklaces), so the class falls apart
+    # rotation classes (necklaces), so the class falls apart; the per-member
+    # path, whatever the class size
+    monkeypatch.setattr(reachability, "BATCH_MIN", 10**9)
     monkeypatch.setattr(reachability, "bbwt",
                         lambda x: types.SimpleNamespace(output=x))
     members = sorted({bytes(t) for t in itertools.permutations(text.encode())})

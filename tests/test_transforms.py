@@ -157,13 +157,13 @@ def _omega_sort_both_layouts(w, monkeypatch):
     """_omega_sort of w's factorization and of the same copies listed one by
     one (which ranks every position); returns both and the ranked sizes."""
     sizes = []
-    real = transforms.cyclic_ranks
+    real = transforms.power_ranks
 
     def recording(symbols, lens):
         sizes.append(int(symbols.size))
         return real(symbols, lens)
 
-    monkeypatch.setattr(transforms, "cyclic_ranks", recording)
+    monkeypatch.setattr(transforms, "power_ranks", recording)
     necklaces = lyndon_factorize(w).necklaces
     grouped = transforms._omega_sort(w, necklaces)
     single = transforms._omega_sort(w, [(f, 1) for f, count in necklaces for _ in range(count)])
@@ -186,6 +186,42 @@ def test_one_copy_layout_matches_full_layout(w, monkeypatch):
     (grouped, single), sizes = _omega_sort_both_layouts(w, monkeypatch)
     assert grouped == single
     assert sizes == [_one_copy_length(w), len(w)]
+
+
+def _brute_omega_sort(w, necklaces):
+    """(csa, tpos, output) of _omega_sort from a keyed sort of every copy's
+    rotations by power prefixes of 2n symbols, ties by start."""
+    keys, pred, pos = [], [], 0
+    for f, count in necklaces:
+        for _ in range(count):
+            for off in range(len(f)):
+                keys.append(O.omega_key(f[off:] + f[:off], 2 * len(w)))
+                pred.append(pos + (off - 1) % len(f))
+            pos += len(f)
+    order = sorted(range(len(w)), key=keys.__getitem__)
+    tpos = [pred[p] for p in order]
+    return tuple(p + 1 for p in order), tpos, bytes(w[t] for t in tpos)
+
+
+# necklace lists that repeat a word, list words out of order or list words
+# that are not Lyndon words, each with one copy of every entry at most half
+# the text
+REPEATED_WORDS = [
+    ((b"aabab", 15), (b"aabab", 25)),
+    ((b"aabab", 40),),
+    ((b"ba", 30), (b"ab", 20), (b"ba", 10)),
+    ((b"abb", 10), (b"ab", 20), (b"abb", 12), (b"a", 30)),
+    ((b"c", 40), (b"abc", 9), (b"c", 33), (b"bca", 9)),
+    ((b"ab", 3), (b"a", 20), (b"ab", 4)),
+]
+
+
+@pytest.mark.parametrize("necklaces", REPEATED_WORDS)
+def test_omega_sort_takes_any_necklace_list(necklaces):
+    w = b"".join(f * count for f, count in necklaces)
+    assert 2 * sum(len(f) for f, _ in necklaces) <= len(w)
+    csa, tpos, out = transforms._omega_sort(w, necklaces)
+    assert (csa, list(tpos), out) == _brute_omega_sort(w, necklaces)
 
 
 def _check_rows(rows):
