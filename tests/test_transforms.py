@@ -122,7 +122,7 @@ def _lyndon_word(seed, n):
 
 
 def _one_copy_cases():
-    """(text, whether _omega_sort ranks only its one-copy layout)."""
+    """(text, whether one copy of each distinct factor is at most half of it)."""
     cases = [(b"a" * n, True) for n in (65, 66, 100, 128, 129, 257, 300)]
     for u in (b"ab", b"abb", b"aabab", b"abc", _lyndon_word(1, 12), _lyndon_word(2, 29)):
         for k in (3, 8, 40):
@@ -135,7 +135,7 @@ def _one_copy_cases():
               for i, j, k in ((4, 10, 40), (10, 10, 10), (20, 1, 1), (1, 30, 5), (2, 2, 90))]
     # one-copy layout at most _SMALL symbols, text past it
     cases += [(b"c" + b"aabab" * 20 + b"a" * 3, True), (b"abcd" * 17, True)]
-    # the gate's boundary: u^2 has 2m = n; u^2 a has 2m = n + 1
+    # either side of half: u^2 has 2m = n; u^2 a has 2m = n + 1
     for size in (33, 40, 64, 65):
         u = _lyndon_word(size, size)
         cases += [(u * 2, True), (u * 2 + b"a", False)]
