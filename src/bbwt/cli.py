@@ -37,6 +37,35 @@ def _read_input(args) -> bytes:
     return data
 
 
+def _max_bytes(text: str) -> int:
+    """--max-bytes as parsed: below 1 nothing could be read, so it is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _read_scheme(path: str, max_bytes: int) -> macro.MacroScheme:
+    """Parse a scheme file, reading no more than scheme_to_text could write.
+
+    The header line comes first, and a length over max_bytes is refused
+    before anything else is read.  A scheme of n positions has at most n
+    phrase lines of at most 3 * len(str(n)) + 6 bytes each, CRLF ends
+    included, so reading stops one byte past that and refuses the file.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline(len(f"BMS {max_bytes}\r\n")).decode("latin-1")
+        n = macro.scheme_from_text(head).n  # SchemeFormatError -> exit 2
+        if n > max_bytes:  # refused before decoding allocates n positions
+            raise ValueError(
+                f"scheme claims {n} positions, over the --max-bytes limit of {max_bytes}")
+        limit = max(n, 0) * (3 * len(str(n)) + 6)
+        body = fh.read(limit + 1)
+    if len(body) > limit:
+        raise ValueError(f"scheme file is over the {limit} bytes of lines {n} positions can take")
+    return macro.scheme_from_text(head + body.decode("latin-1"))
+
+
 def _write_output(args, data: bytes) -> None:
     if getattr(args, "output", None):
         with open(args.output, "wb") as fh:
@@ -98,15 +127,9 @@ def _cmd_measure(args) -> int:
 def _cmd_bms(args) -> int:
     data = _read_input(args)
     if args.action == "build":
-        _write_output(args, macro._induced_scheme_text(data).encode())
+        _write_output(args, macro.scheme_to_text(macro.induce_bms(data)).encode())
         return 0
-    with open(args.scheme, encoding="latin-1") as fh:
-        scheme_text = fh.read()
-    scheme = macro.scheme_from_text(scheme_text)  # SchemeFormatError -> exit 2
-    if scheme.n > args.max_bytes:  # refused before decoding allocates n positions
-        raise ValueError(
-            f"scheme claims {scheme.n} positions, over the --max-bytes limit of {args.max_bytes}")
-    rep = macro.validate_bms(scheme, data)
+    rep = macro.validate_bms(_read_scheme(args.scheme, args.max_bytes), data)
     lines = [
         f"phrase_count={rep.phrase_count}",
         f"acyclic={str(rep.acyclic).lower()}",
@@ -204,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     io_common.add_argument("--output", "-o", help="write to FILE instead of stdout")
     io_common.add_argument("--strip-newline", action="store_true",
                            help="drop one trailing newline from the input")
-    io_common.add_argument("--max-bytes", type=int, default=DEFAULT_LIMIT,
+    io_common.add_argument("--max-bytes", type=_max_bytes, default=DEFAULT_LIMIT,
                            help="input size limit, also on the length a verified "
                                 "scheme claims (default 2^26)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,9 +4,10 @@ A scheme partitions positions 1..n into literal phrases (one symbol each) and
 reference phrases copying an equal-length block from elsewhere in the same
 text, possibly forward.  Chains of references must bottom out at literals.
 
-Both directions work on columns past a small-input crossover.  Induction
-reads the transform's run breaks as numpy masks (`_scheme_arrays`), and
-decoding resolves every reference chain at once by pointer doubling
+Past _SMALL symbols an induced scheme is columns, not phrase objects:
+induction reads the transform's run breaks as numpy masks (`_scheme_arrays`),
+and the scheme holds those columns until its phrases are first read.
+Decoding resolves every reference chain at once by pointer doubling
 (Wyllie's list ranking): each position points at its source, literals at
 themselves, and squaring the pointer map halves every chain.  An acyclic
 chain is shorter than n, so after ceil(log2 n) + 1 squarings every pointer
@@ -48,12 +49,32 @@ class Reference:
 
 @dataclass(frozen=True)
 class MacroScheme:
+    """Phrases covering positions 1..n in order.
+
+    induce_bms past _SMALL symbols returns a scheme that holds
+    _scheme_arrays' columns instead; phrase_count, scheme_to_text and
+    decode_bms read them.  The phrase tuple is built when .phrases is first
+    read, and the columns are dropped then, so a scheme never holds both.
+    Equality, hash, repr and pickling are those of MacroScheme(n, phrases).
+    """
     n: int
     phrases: tuple
 
+    def __getattr__(self, name):
+        # reached only for a name missing from the instance: phrases not yet built
+        cols = self.__dict__.get("_cols")
+        if name != "phrases" or cols is None:
+            raise AttributeError(name)
+        phrases = tuple(Reference(s, k, src) if src else Literal(s, c)
+                        for s, k, src, c in zip(*(col.tolist() for col in cols)))
+        self.__dict__["phrases"] = phrases
+        del self.__dict__["_cols"]
+        return phrases
+
     @property
     def phrase_count(self) -> int:
-        return len(self.phrases)
+        cols = self.__dict__.get("_cols")
+        return len(self.phrases) if cols is None else len(cols[0])
 
 
 @dataclass(frozen=True)
@@ -68,30 +89,23 @@ class ValidationReport:
         return self.acyclic and self.decodes and self.bound_ok
 
 
-# Up to this many symbols induce_bms merges phrases in a Python loop; above
-# it the numpy columns pay.  After the core, loop against columns per text:
-# 1.07 against 1.19 ms at n = 1,024 and 2.75 against 2.84 ms at 2,048 on
-# random 4-symbol text, 44 against 41 ms at 32,768; 0.18 against 0.13 ms at
-# 1,024 and 0.35 against 0.23 ms at 2,048 on Fibonacci prefixes.  Building
-# the phrase objects costs the same on both paths and dominates on random
-# text.
-_INDUCE_LOOP_MAX = 2048
-
-
 def induce_bms(w) -> MacroScheme:
     """Build a macro scheme from the transform's run structure.
 
     Every text position whose transform position starts a run of equal output
     symbols becomes a literal; every other position references the text
     position holding the previous output symbol.  Consecutive text positions
-    with one shared offset merge into a single reference phrase.
+    with one shared offset merge into a single reference phrase.  Past _SMALL
+    symbols the scheme holds _scheme_arrays' columns (see MacroScheme).
     """
     w = as_text(w)
     if not w:
         raise ValueError("induce_bms: empty input")
     n = len(w)
-    if n > _INDUCE_LOOP_MAX:
-        return MacroScheme(n, _phrases(w, *_scheme_arrays(w)))
+    if n > _SMALL:
+        m = object.__new__(MacroScheme)
+        m.__dict__.update(n=n, _cols=_scheme_arrays(w))
+        return m
     core = _core(w)
     src = [-1] * n  # -1 marks a literal; sources are never negative
     prev_c, prev_t = -1, -1
@@ -114,9 +128,10 @@ def induce_bms(w) -> MacroScheme:
     return MacroScheme(n, tuple(phrases))
 
 
-def _scheme_arrays(w: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The induced scheme of nonempty bytes w as int64 columns: 1-based phrase
-    starts, lengths, and 1-based sources, 0 for a literal.
+def _scheme_arrays(w: bytes) -> tuple[np.ndarray, ...]:
+    """The induced scheme of nonempty bytes w as columns: 1-based phrase
+    starts, lengths, 1-based sources (0 for a literal), and each phrase's
+    first symbol.
 
     Text position tpos[i] copies tpos[i - 1] wherever output[i] equals
     output[i - 1]; a phrase breaks where either neighbour is a literal or the
@@ -133,50 +148,12 @@ def _scheme_arrays(w: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     brk[1:] = (src[1:] < 0) | (src[:-1] < 0) | (src[1:] != src[:-1] + 1)
     starts = np.flatnonzero(brk)
     lengths = np.diff(starts, append=n)
-    return starts + 1, lengths, src[starts] + 1
-
-
-def _induced_phrase_count(w: bytes) -> int:
-    """induce_bms(w).phrase_count for nonempty bytes w.
-
-    Past _SMALL symbols the phrases are counted from _scheme_arrays' columns,
-    which builds no phrase objects.  Per text after the core, objects against
-    columns: 37 against 31 us at n = 64, 169 against 34 us at 256 and 2.3
-    against 0.13 ms at 2,048 on random 4-symbol text; over the 3,448 sweep
-    texts (up to 512 symbols), 65 ms counting by objects throughout against
-    43 ms with the columns past 64, and 44 and 39 ms past 32 and 128.
-    """
-    if len(w) > _SMALL:
-        return len(_scheme_arrays(w)[0])
-    return induce_bms(w).phrase_count
-
-
-def _phrases(w: bytes, starts, lengths, sources) -> tuple:
-    """Phrase objects of _scheme_arrays' columns."""
-    return tuple(Reference(s, k, src) if src else Literal(s, w[s - 1])
-                 for s, k, src in zip(starts.tolist(), lengths.tolist(), sources.tolist()))
+    return starts + 1, lengths, src[starts] + 1, np.frombuffer(w, dtype=np.uint8)[starts]
 
 
 _LITERAL_LINE = "L {} {:02x}"
 _REFERENCE_LINE = "R {} {} {}"
 _LINES_PER_CHUNK = 1 << 16
-
-
-def _induced_scheme_text(w: bytes) -> str:
-    """scheme_to_text(induce_bms(w)) for nonempty bytes w, written from
-    _scheme_arrays' columns without phrase objects.
-
-    Lines are made a chunk at a time, so only one chunk's Python ints and
-    line strings are alive besides the columns and the text.
-    """
-    cols = _scheme_arrays(w)
-    chunks = [f"BMS {len(w)}\n"]
-    for a in range(0, len(cols[0]), _LINES_PER_CHUNK):
-        starts, lengths, sources = (c[a:a + _LINES_PER_CHUNK].tolist() for c in cols)
-        chunks.append("".join(
-            (_REFERENCE_LINE.format(s, k, src) if src else _LITERAL_LINE.format(s, w[s - 1])) + "\n"
-            for s, k, src in zip(starts, lengths, sources)))
-    return "".join(chunks)
 
 
 def _checked(m: MacroScheme, walk: bool) -> tuple:
@@ -260,11 +237,20 @@ def decode_bms(m: MacroScheme) -> bytes:
     acyclic chain has fewer than n steps, so a pointer that then rests off a
     literal lies on a cycle.
 
+    A scheme holding induce_bms' columns is sound by construction, so its
+    literals and sources go to pointer doubling unchecked.
+
     Raises SchemeStructureError on malformed coverage, a cyclic chain (naming
     a position on the cycle), or a length of 2^31 or more (longer than any
     text the transform accepts).  Nothing of size n is allocated before the
     phrases are shown to cover 1..n.
     """
+    cols = m.__dict__.get("_cols")
+    if cols is not None:
+        starts, lengths, sources, firsts = cols
+        lit, ref = sources == 0, sources != 0
+        return _double_pointers(m.n, starts[lit] - 1, firsts[lit],
+                                starts[ref] - 1, lengths[ref], sources[ref] - 1)
     if m.n > _WALK_MAX:
         return _double_pointers(m.n, *_checked(m, False))
     out, src = _checked(m, True)
@@ -346,7 +332,19 @@ def validate_bms(m: MacroScheme, w) -> ValidationReport:
 
 
 def scheme_to_text(m: MacroScheme) -> str:
-    """One header line 'BMS <n>' then one line per phrase."""
+    """One header line 'BMS <n>' then one line per phrase.
+
+    Held columns are written a chunk of lines at a time, so only one chunk's
+    Python ints and line strings are alive besides the columns.
+    """
+    cols = m.__dict__.get("_cols")
+    if cols is not None:
+        chunks = [f"BMS {m.n}\n"]
+        for a in range(0, len(cols[0]), _LINES_PER_CHUNK):
+            chunks.append("".join(
+                (_REFERENCE_LINE.format(s, k, src) if src else _LITERAL_LINE.format(s, c)) + "\n"
+                for s, k, src, c in zip(*(col[a:a + _LINES_PER_CHUNK].tolist() for col in cols))))
+        return "".join(chunks)
     lines = [f"BMS {m.n}"]
     for ph in m.phrases:
         if isinstance(ph, Literal):

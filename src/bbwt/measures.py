@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ranks import _SMALL, suffix_ranks_np
-from .macro import _induced_phrase_count
+from .macro import induce_bms
 from .strings import as_text, lyndon_factorize
 from .transforms import _core, bbwt, bwt
 
@@ -189,7 +189,7 @@ def measure_report(w) -> MeasureReport:
     fact, r_b = core.fact, core.runs
     r = bwt(w).runs
     z = lz77_factorize(w).z
-    phrases = _induced_phrase_count(w)
+    phrases = induce_bms(w).phrase_count
     ratio = r_b / (z * math.log2(n) ** 2) if n >= 2 else 0.0
     return MeasureReport(n, r, r_b, fact.necklace_count, fact.total_factors,
                          z, phrases, ratio)

@@ -1,3 +1,4 @@
+import io
 import random
 import subprocess
 import sys
@@ -416,6 +417,67 @@ def test_stdin_read_stops_past_max_bytes(monkeypatch, capsys, strip):
         assert stdin.taken <= limit + 3
         if accepted:
             assert out.encode() == bwt(body).output
+
+
+_READING_COMMANDS = [["transform", "bwt"], ["measure"], ["bms", "build"],
+                     ["bms", "verify", "scheme.txt"], ["rotopt"], ["lynrot"]]
+
+
+@pytest.mark.parametrize("command", _READING_COMMANDS)
+def test_max_bytes_below_one_is_refused_unread(command, monkeypatch, capsys):
+    for limit in (-5, -4, -1, 0):
+        stdin = _CountingStdin(b"ab" * 10**5)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + [f"--max-bytes={limit}"])
+        assert exc.value.code == 2
+        assert stdin.taken == 0
+        assert "--max-bytes" in capsys.readouterr().err
+
+
+class _CountingFile(io.BytesIO):
+    """A binary file that counts the bytes read from it."""
+
+    taken = 0
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.taken += len(chunk)
+        return chunk
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        self.taken += len(line)
+        return line
+
+
+def _verify_counting(monkeypatch, tmp_path, scheme_bytes, max_bytes):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"a")
+    fake = _CountingFile(scheme_bytes)
+    monkeypatch.setattr(cli, "open", lambda path, mode="r", **kw: fake
+                        if path == "scheme.txt" else open(path, mode, **kw), raising=False)
+    rc = cli.main(["bms", "verify", "scheme.txt", "-i", str(src), "--max-bytes", str(max_bytes)])
+    return rc, fake.taken
+
+
+def test_bms_verify_reads_only_the_header_over_max_bytes(tmp_path, monkeypatch, capsys):
+    header = b"BMS 1000001\n"
+    rc, taken = _verify_counting(monkeypatch, tmp_path, header + b"R 2 1 1\n" * 10**6, 10**6)
+    assert (rc, taken) == (2, len(header))
+    assert "--max-bytes" in capsys.readouterr().err
+
+
+def test_bms_verify_bounds_the_scheme_read(tmp_path, monkeypatch, capsys):
+    # 10 positions: at most 10 lines of 3 * 2 + 6 bytes, CRLF ends included
+    header, line = b"BMS 10\r\n", b"R 10 10 10\r\n"
+    assert len(line) == 12
+    rc, taken = _verify_counting(monkeypatch, tmp_path, header + line * 10, 10)
+    assert (rc, taken) == (1, len(header) + 120)  # read whole; fails verification
+    assert "acyclic=false" in capsys.readouterr().out
+    rc, taken = _verify_counting(monkeypatch, tmp_path, header + line * 10**5, 10)
+    assert (rc, taken) == (2, len(header) + 121)
+    assert "scheme file is over" in capsys.readouterr().err
 
 
 def test_console_script_installed():

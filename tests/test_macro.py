@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import tracemalloc
 from unittest import mock
@@ -307,17 +309,77 @@ def test_scheme_arrays_match_loop():
     # induce_bms's phrase loop, forced at every length, is the reference
     for w in _column_texts():
         w = O.to_bytes(w)
-        with mock.patch.object(macro, "_INDUCE_LOOP_MAX", 1 << 31):
+        with mock.patch.object(macro, "_SMALL", 1 << 31):
             expected = induce_bms(w).phrases
-        assert macro._phrases(w, *macro._scheme_arrays(w)) == expected, w
         assert induce_bms(w).phrases == expected, w
 
 
 def test_scheme_arrays_columns():
-    starts, lengths, sources = macro._scheme_arrays(b"abbbabbababab")
+    starts, lengths, sources, firsts = macro._scheme_arrays(b"abbbabbababab")
     assert starts.tolist() == [1, 2, 3, 5, 6, 7, 8, 9, 10]
     assert lengths.tolist() == [1, 1, 2, 1, 1, 1, 1, 1, 4]
     assert sources.tolist() == [0, 0, 6, 0, 0, 13, 0, 0, 8]
+    assert firsts.tobytes() == b"abbabbaba"
+
+
+def _held_texts():
+    """_column_texts() plus random and Fibonacci texts on both sides of _SMALL."""
+    yield from map(O.to_bytes, _column_texts())
+    rng = random.Random(6465)
+    for n in (64, 65, 66):
+        for sigma in (1, 2, 4, 256):
+            yield bytes(rng.randrange(256 - sigma, 256) for _ in range(n))
+        yield O.brute_fibonacci(12)[:n]
+
+
+def test_induced_scheme_holds_columns_past_small():
+    for w in _held_texts():
+        m = induce_bms(w)
+        assert type(m) is MacroScheme
+        assert ("_cols" in vars(m)) == (len(w) > macro._SMALL), w
+        assert not hasattr(m, "symbols")
+        phrases = m.phrases
+        assert vars(m) == {"n": len(w), "phrases": phrases}, w
+        assert m.phrases is phrases
+
+
+def test_held_columns_have_plain_value_semantics():
+    for w in _held_texts():
+        plain = MacroScheme(len(w), induce_bms(w).phrases)
+        assert induce_bms(w) == plain and plain == induce_bms(w), w
+        assert hash(induce_bms(w)) == hash(plain), w
+        assert repr(induce_bms(w)) == repr(plain), w
+        for m in (induce_bms(w), plain):
+            assert pickle.loads(pickle.dumps(m)) == plain, w
+        fewer = plain.phrases[:-1]
+        assert dataclasses.replace(induce_bms(w), phrases=fewer) == MacroScheme(len(w), fewer)
+        assert dataclasses.replace(induce_bms(w)) == plain, w
+
+
+def test_held_columns_read_the_same_before_and_after_phrases():
+    for w in _held_texts():
+        m = induce_bms(w)
+        before = (m.phrase_count, scheme_to_text(m), decode_bms(m))
+        assert before[2] == w
+        m.phrases
+        assert (m.phrase_count, scheme_to_text(m), decode_bms(m)) == before, w
+
+
+def test_held_columns_decode_like_both_checked_paths():
+    for w in _held_texts():
+        m = induce_bms(w)
+        got = decode_bms(m)
+        assert _decode_both(MacroScheme(m.n, induce_bms(w).phrases)) == [got, got], w
+        if "_cols" not in vars(m):
+            continue
+        # every symbol comes from a literal column: change them all, and
+        # every decoded symbol changes with them
+        starts, lengths, sources, firsts = vars(m)["_cols"]
+        flipped = induce_bms(w)
+        vars(flipped)["_cols"] = (starts, lengths, sources, firsts ^ 1)
+        got = decode_bms(flipped)
+        assert got == bytes(c ^ 1 for c in w)
+        assert _decode_both(MacroScheme(m.n, flipped.phrases)) == [got, got], w
 
 
 def _decode_both(m):

@@ -4,12 +4,16 @@
 
 Each checkout's perfbench/results/*.json files (written by perfbench/run.py
 with --trace 0; traced runs are skipped) are grouped by workload.  For every
-workload and side the output gives the seeds, the runs, the attempted and
-failed operations, and the median and quartiles of every end-to-end metric.
-Where both sides ran the same seed, the runs pair up: for each metric the
-output gives the change's median over the parent's and how many pairs the
-change won, that is, read lower (every end-to-end metric in BENCHMARK.json
-is better lower).
+workload and side the output gives the seeds, the runs, the median number
+of rounds a run fit into its --seconds, the attempted and failed operations,
+and the median and quartiles of every end-to-end metric.  Where both sides
+ran the same seed, the runs pair up: for each metric the output gives the
+change's median over the parent's and how many pairs the change won, that
+is, read lower (every end-to-end metric in BENCHMARK.json is better lower),
+and `paired_rounds` lists [seed, parent rounds, change rounds] per pair.
+More rounds keep more digests alive, so a side that fits more rounds reads
+a higher peak_rss_mb on the same program.  A results file without `rounds`
+counts as None there and is left out of the median.
 
 Both checkouts must be git repositories (made with `git clone`); each one's
 revision is its `git rev-parse HEAD`.  Standard library only.
@@ -61,9 +65,11 @@ def side_summary(runs: dict[int, dict]) -> dict:
     for name in names:
         values = [runs[s]["metrics"][name]["value"] for s in seeds if name in runs[s]["metrics"]]
         metrics[name] = dict(spread(values), unit=runs[seeds[0]]["metrics"][name]["unit"])
+    rounds = [runs[s]["rounds"] for s in seeds if "rounds" in runs[s]]
     return {
         "seeds": seeds,
         "runs": len(seeds),
+        "rounds": statistics.median(rounds) if rounds else None,
         "attempted": sum(runs[s]["attempted"] for s in seeds),
         "failed": sum(runs[s]["failed"] for s in seeds),
         "metrics": metrics,
@@ -101,6 +107,9 @@ def summarize(parent_root: Path, change_root: Path, parent_rev: str, change_rev:
             entry["change"] = side_summary(change[name])
         if name in parent and name in change:
             entry["paired"] = compare(parent[name], change[name])
+            entry["paired_rounds"] = [
+                [s, parent[name][s].get("rounds"), change[name][s].get("rounds")]
+                for s in sorted(set(parent[name]) & set(change[name]))]
         workloads[name] = entry
     return {"parent_revision": parent_rev, "change_revision": change_rev,
             "workloads": workloads}
