@@ -68,7 +68,7 @@ class MacroScheme:
         phrases = tuple(Reference(s, k, src) if src else Literal(s, c)
                         for s, k, src, c in zip(*(col.tolist() for col in cols)))
         self.__dict__["phrases"] = phrases
-        del self.__dict__["_cols"]
+        self.__dict__.pop("_cols", None)  # another thread may have built them too
         return phrases
 
     @property
