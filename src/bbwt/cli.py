@@ -48,13 +48,20 @@ def _max_bytes(text: str) -> int:
 def _read_scheme(path: str, max_bytes: int) -> macro.MacroScheme:
     """Parse a scheme file, reading no more than scheme_to_text could write.
 
-    The header line comes first, and a length over max_bytes is refused
-    before anything else is read.  A scheme of n positions has at most n
-    phrase lines of at most 3 * len(str(n)) + 6 bytes each, CRLF ends
-    included, so reading stops one byte past that and refuses the file.
+    The header line comes first.  One that does not end within the bytes of
+    'BMS <max_bytes>\r\n' is refused, so the length checked is the whole
+    one, and a length over max_bytes is refused before anything else is
+    read.  A scheme of n positions has at most n phrase lines of at most
+    3 * len(str(n)) + 6 bytes each, CRLF ends included, so reading stops
+    one byte past that and refuses the file.
     """
+    head_max = len(f"BMS {max_bytes}\r\n")
     with open(path, "rb") as fh:
-        head = fh.readline(len(f"BMS {max_bytes}\r\n")).decode("latin-1")
+        line = fh.readline(head_max)
+        if len(line) == head_max and not line.endswith(b"\n"):  # padded, as in BMS 000...
+            raise ValueError(
+                f"scheme header is over the {head_max} bytes of one within --max-bytes")
+        head = line.decode("latin-1")
         n = macro.scheme_from_text(head).n  # SchemeFormatError -> exit 2
         if n > max_bytes:  # refused before decoding allocates n positions
             raise ValueError(

@@ -61,15 +61,16 @@ class MacroScheme:
     phrases: tuple
 
     def __getattr__(self, name):
-        # reached only for a name missing from the instance: phrases not yet built
+        # a name missing from the instance: phrases unbuilt, or just built by another thread
         cols = self.__dict__.get("_cols")
-        if name != "phrases" or cols is None:
+        if name != "phrases" or (cols is None and "phrases" not in self.__dict__):
             raise AttributeError(name)
-        phrases = tuple(Reference(s, k, src) if src else Literal(s, c)
-                        for s, k, src, c in zip(*(col.tolist() for col in cols)))
-        self.__dict__["phrases"] = phrases
-        self.__dict__.pop("_cols", None)  # another thread may have built them too
-        return phrases
+        if cols is not None:
+            self.__dict__["phrases"] = tuple(
+                Reference(s, k, src) if src else Literal(s, c)
+                for s, k, src, c in zip(*(col.tolist() for col in cols)))
+            self.__dict__.pop("_cols", None)  # stored first, so a racing reader finds them
+        return self.__dict__["phrases"]
 
     @property
     def phrase_count(self) -> int:

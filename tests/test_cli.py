@@ -468,6 +468,26 @@ def test_bms_verify_reads_only_the_header_over_max_bytes(tmp_path, monkeypatch, 
     assert "--max-bytes" in capsys.readouterr().err
 
 
+def test_bms_verify_refuses_a_padded_header_unread(tmp_path, monkeypatch, capsys):
+    # zeros push the length past a header for --max-bytes positions: the
+    # whole claim, 2^31 - 1, must be refused before anything is decoded
+    def no_decode(m):
+        raise AssertionError("decoded a scheme with a padded header")
+
+    monkeypatch.setattr(macro, "decode_bms", no_decode)
+    head_max = len(f"BMS {cli.DEFAULT_LIMIT}\r\n")
+    scheme = b"BMS 00002147483647\nR 1 2147483647 1\n"
+    rc, taken = _verify_counting(monkeypatch, tmp_path, scheme, cli.DEFAULT_LIMIT)
+    assert (rc, taken) == (2, head_max)
+    captured = capsys.readouterr()
+    assert captured.out == "" and "scheme header" in captured.err
+    monkeypatch.undo()
+    # zeros that keep the header within that many bytes are read as before
+    assert len(b"BMS 001\n") == len(b"BMS 10\r\n")
+    rc, _ = _verify_counting(monkeypatch, tmp_path, b"BMS 001\nL 1 61\n", 10)
+    assert rc == 0
+
+
 def test_bms_verify_bounds_the_scheme_read(tmp_path, monkeypatch, capsys):
     # 10 positions: at most 10 lines of 3 * 2 + 6 bytes, CRLF ends included
     header, line = b"BMS 10\r\n", b"R 10 10 10\r\n"

@@ -343,6 +343,19 @@ def test_induced_scheme_holds_columns_past_small():
         assert m.phrases is phrases
 
 
+def test_phrases_built_by_a_racing_reader_are_returned():
+    # a reader whose lookup missed, after another stored the phrases and
+    # dropped the columns, gets those phrases, not an AttributeError
+    w = O.brute_fibonacci(12)[:65]
+    m, built = induce_bms(w), induce_bms(w).phrases
+    vars(m)["phrases"] = built
+    del vars(m)["_cols"]
+    assert m.__getattr__("phrases") is built
+    del vars(m)["phrases"]
+    with pytest.raises(AttributeError):
+        m.__getattr__("phrases")
+
+
 def test_held_columns_have_plain_value_semantics():
     for w in _held_texts():
         plain = MacroScheme(len(w), induce_bms(w).phrases)
