@@ -47,6 +47,26 @@ class Reference:
     source_start: int
 
 
+def _held(field: str, build):
+    """__getattr__ and a count property for a frozen dataclass that may hold
+    int columns, under "_cols", in place of its tuple `field`.  The first read
+    of `field` stores build(*columns as lists), then drops the columns, so a
+    reader racing it finds one or the other; the count reads either."""
+    def __getattr__(self, name):
+        cols = self.__dict__.get("_cols")
+        if name != field or (cols is None and field not in self.__dict__):
+            raise AttributeError(name)
+        if cols is not None:
+            self.__dict__[field] = build(*(col.tolist() for col in cols))
+            self.__dict__.pop("_cols", None)  # stored first, so a racing reader finds them
+        return self.__dict__[field]
+
+    def count(self) -> int:
+        cols = self.__dict__.get("_cols")
+        return len(getattr(self, field)) if cols is None else len(cols[0])
+    return __getattr__, property(count)
+
+
 @dataclass(frozen=True)
 class MacroScheme:
     """Phrases covering positions 1..n in order.
@@ -60,22 +80,8 @@ class MacroScheme:
     n: int
     phrases: tuple
 
-    def __getattr__(self, name):
-        # a name missing from the instance: phrases unbuilt, or just built by another thread
-        cols = self.__dict__.get("_cols")
-        if name != "phrases" or (cols is None and "phrases" not in self.__dict__):
-            raise AttributeError(name)
-        if cols is not None:
-            self.__dict__["phrases"] = tuple(
-                Reference(s, k, src) if src else Literal(s, c)
-                for s, k, src, c in zip(*(col.tolist() for col in cols)))
-            self.__dict__.pop("_cols", None)  # stored first, so a racing reader finds them
-        return self.__dict__["phrases"]
-
-    @property
-    def phrase_count(self) -> int:
-        cols = self.__dict__.get("_cols")
-        return len(self.phrases) if cols is None else len(cols[0])
+    __getattr__, phrase_count = _held("phrases", lambda *cols: tuple(
+        Reference(s, k, src) if src else Literal(s, c) for s, k, src, c in zip(*cols)))
 
 
 @dataclass(frozen=True)

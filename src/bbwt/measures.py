@@ -4,12 +4,13 @@ counts, greedy self-referential LZ77, and the Fibonacci word family."""
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._ranks import _SMALL, suffix_ranks_np
-from .macro import induce_bms
+from .macro import _held, induce_bms
 from .strings import as_text, lyndon_factorize
 from .transforms import _core, bbwt, bwt
 
@@ -23,11 +24,18 @@ class LzFactor:
 
 @dataclass(frozen=True)
 class Lz77Factorization:
+    """Factors covering positions 1..n in order.
+
+    lz77_factorize past _SMALL symbols returns one holding _lz77_sa's columns
+    instead (1-based starts, lengths, 1-based sources, 0 for a fresh symbol);
+    z reads them.  The factor tuple is built when .factors is first read, and
+    the columns are dropped then.  Equality, hash, repr and pickling are those
+    of Lz77Factorization(factors).
+    """
     factors: tuple[LzFactor, ...]
 
-    @property
-    def z(self) -> int:
-        return len(self.factors)
+    __getattr__, z = _held("factors", lambda starts, lengths, sources: tuple(
+        map(LzFactor, starts, lengths, [src or None for src in sources])))
 
 
 def _common_prefix(w: bytes, j: int, i: int) -> int:
@@ -83,7 +91,7 @@ def _lz77_small(w: bytes) -> list[LzFactor]:
     return factors
 
 
-def _lz77_sa(w: bytes) -> list[LzFactor]:
+def _lz77_sa(w: bytes) -> tuple[array, array, array]:
     """Longest previous factors from the nearest smaller start positions in
     suffix order (Crochemore and Ilie, IPL 2008).
 
@@ -113,8 +121,7 @@ def _lz77_sa(w: bytes) -> list[LzFactor]:
         left[pos] = top
         push(pos)
         top = pos
-    factors = []
-    add = factors.append
+    starts, lengths, sources = cols = array("q"), array("q"), array("q")
     i = 0
     while i < n:
         c = w[i]
@@ -122,16 +129,16 @@ def _lz77_sa(w: bytes) -> list[LzFactor]:
         l1 = _common_prefix(w, j1, i) if j1 >= 0 and w[j1] == c else 0
         l2 = _common_prefix(w, j2, i) if j2 >= 0 and w[j2] == c else 0
         if l1 == 0 and l2 == 0:
-            add(LzFactor(i + 1, 1, None))
-            i += 1
-            continue
-        if l1 > l2 or (l1 == l2 and j1 < j2):
+            length, src = 1, -1
+        elif l1 > l2 or (l1 == l2 and j1 < j2):
             length, src = l1, j1
         else:
             length, src = l2, j2
-        add(LzFactor(i + 1, length, src + 1))
+        starts.append(i + 1)
+        lengths.append(length)
+        sources.append(src + 1)
         i += length
-    return factors
+    return cols
 
 
 def lz77_factorize(w) -> Lz77Factorization:
@@ -141,10 +148,10 @@ def lz77_factorize(w) -> Lz77Factorization:
     if not w:
         raise ValueError("lz77_factorize: empty input")
     if len(w) <= _SMALL:
-        factors = _lz77_small(w)
-    else:
-        factors = _lz77_sa(w)
-    return Lz77Factorization(tuple(factors))
+        return Lz77Factorization(tuple(_lz77_small(w)))
+    lz = object.__new__(Lz77Factorization)
+    lz.__dict__["_cols"] = _lz77_sa(w)
+    return lz
 
 
 def fibonacci_word(k: int, max_length: int = 1 << 26) -> bytes:

@@ -352,6 +352,8 @@ def orbit_connected(p: ParikhVector,
         raise OrbitBudgetError(
             f"class has {size} members of {p.n} bytes, over the "
             f"{24 * budget} bytes its budget of {budget} allows")
+    if size == 1:  # one member is its own image under both steps: nothing to build
+        return OrbitReport(1, 1, True, None)
     roots = (_roots_per_member if size < BATCH_MIN else _roots_batched)(p, size)
     connected = len(roots) == 1
     witness = None if connected else (roots[0], roots[1])

@@ -359,6 +359,17 @@ def test_reach_check_orbit(capsys):
     assert "connected=true" in out
 
 
+def test_reach_check_orbit_single_member_class(monkeypatch, capsys):
+    # enumerating this class would build and transform 10^8 bytes (GBs)
+    def refuse(*args):
+        raise AssertionError("enumerated a single-member class")
+
+    for name in ("_roots_per_member", "_roots_batched"):
+        monkeypatch.setattr(reachability, name, refuse)
+    assert cli.main(["reach", "check-orbit", "a:100000000"]) == 0
+    assert capsys.readouterr().out == "class_size=1\norbit_count=1\nconnected=true\n"
+
+
 def test_reach_check_orbit_budget(capsys):
     assert cli.main(["reach", "check-orbit", "a:30,b:30", "--budget", "100"]) == 2
     assert "budget" in capsys.readouterr().err

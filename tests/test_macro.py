@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles as O
 from bbwt import (
     Literal,
+    Lz77Factorization,
     MacroScheme,
     Reference,
     SchemeFormatError,
@@ -19,6 +20,7 @@ from bbwt import (
     decode_bms,
     induce_bms,
     lyndon_factorize,
+    lz77_factorize,
     macro,
     scheme_from_text,
     scheme_to_text,
@@ -332,41 +334,54 @@ def _held_texts():
         yield O.brute_fibonacci(12)[:n]
 
 
-def test_induced_scheme_holds_columns_past_small():
+# the column-holding records and their one shared helper, macro._held: how
+# each is made from a text, the plain record of its tuple, and the tuple field
+_HELD = [
+    pytest.param(induce_bms, lambda w, tup: MacroScheme(len(w), tup), "phrases",
+                 id="MacroScheme"),
+    pytest.param(lz77_factorize, lambda w, tup: Lz77Factorization(tup), "factors",
+                 id="Lz77Factorization"),
+]
+
+
+@pytest.mark.parametrize("make, plain, field", _HELD)
+def test_induced_scheme_holds_columns_past_small(make, plain, field):
     for w in _held_texts():
-        m = induce_bms(w)
-        assert type(m) is MacroScheme
+        m = make(w)
+        assert type(m) is type(plain(w, ()))
         assert ("_cols" in vars(m)) == (len(w) > macro._SMALL), w
         assert not hasattr(m, "symbols")
-        phrases = m.phrases
-        assert vars(m) == {"n": len(w), "phrases": phrases}, w
-        assert m.phrases is phrases
+        tup = getattr(m, field)
+        assert vars(m) == vars(plain(w, tup)), w
+        assert getattr(m, field) is tup
 
 
-def test_phrases_built_by_a_racing_reader_are_returned():
-    # a reader whose lookup missed, after another stored the phrases and
-    # dropped the columns, gets those phrases, not an AttributeError
+@pytest.mark.parametrize("make, plain, field", _HELD)
+def test_phrases_built_by_a_racing_reader_are_returned(make, plain, field):
+    # a reader whose lookup missed, after another stored the tuple and
+    # dropped the columns, gets that tuple, not an AttributeError
     w = O.brute_fibonacci(12)[:65]
-    m, built = induce_bms(w), induce_bms(w).phrases
-    vars(m)["phrases"] = built
+    m, built = make(w), getattr(make(w), field)
+    vars(m)[field] = built
     del vars(m)["_cols"]
-    assert m.__getattr__("phrases") is built
-    del vars(m)["phrases"]
+    assert m.__getattr__(field) is built
+    del vars(m)[field]
     with pytest.raises(AttributeError):
-        m.__getattr__("phrases")
+        m.__getattr__(field)
 
 
-def test_held_columns_have_plain_value_semantics():
+@pytest.mark.parametrize("make, plain, field", _HELD)
+def test_held_columns_have_plain_value_semantics(make, plain, field):
     for w in _held_texts():
-        plain = MacroScheme(len(w), induce_bms(w).phrases)
-        assert induce_bms(w) == plain and plain == induce_bms(w), w
-        assert hash(induce_bms(w)) == hash(plain), w
-        assert repr(induce_bms(w)) == repr(plain), w
-        for m in (induce_bms(w), plain):
-            assert pickle.loads(pickle.dumps(m)) == plain, w
-        fewer = plain.phrases[:-1]
-        assert dataclasses.replace(induce_bms(w), phrases=fewer) == MacroScheme(len(w), fewer)
-        assert dataclasses.replace(induce_bms(w)) == plain, w
+        p = plain(w, getattr(make(w), field))
+        assert make(w) == p and p == make(w), w
+        assert hash(make(w)) == hash(p), w
+        assert repr(make(w)) == repr(p), w
+        for m in (make(w), p):
+            assert pickle.loads(pickle.dumps(m)) == p, w
+        fewer = getattr(p, field)[:-1]
+        assert dataclasses.replace(make(w), **{field: fewer}) == plain(w, fewer)
+        assert dataclasses.replace(make(w)) == p, w
 
 
 def test_held_columns_read_the_same_before_and_after_phrases():

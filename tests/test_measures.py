@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles as O
 from bbwt import (
+    Lz77Factorization,
     LzFactor,
     bbwt,
     bwt,
@@ -17,8 +19,9 @@ from bbwt import (
     lyndon_factorize,
     lz77_factorize,
     measure_report,
+    measures,
 )
-from bbwt.measures import _common_prefix
+from bbwt.measures import _SMALL, _common_prefix
 
 
 def as_tuples(fac):
@@ -305,3 +308,56 @@ def test_measure_report_counts_phrases_across_the_crossover():
         for w in (bytes(rng.randrange(97, 101) for _ in range(n)), fib[:n],
                   b"ab" * (n // 2) + b"a" * (n % 2)):
             assert measure_report(w).bms_phrases == induce_bms(w).phrase_count
+
+
+def _texts_around_small():
+    rng = random.Random(6464)
+    fib = fibonacci_word(14)
+    for n in (1, 2, 63, 64, 65, 66, 130, 300, 1000):
+        for sigma in (1, 2, 4, 256):
+            yield bytes(rng.randrange(256 - sigma, 256) for _ in range(n))
+        yield fib[:n]
+
+
+def test_lz77_z_reads_the_held_columns():
+    # past _SMALL the factorization holds columns; z reads them, and the first
+    # .factors read builds the plain tuple and drops them
+    for w in _texts_around_small():
+        lz = lz77_factorize(w)
+        assert ("_cols" in vars(lz)) == (len(w) > _SMALL), w
+        z = lz.z
+        factors = lz.factors
+        assert vars(lz) == {"factors": factors}, w
+        assert lz.z == z == len(factors), w
+        assert lz == Lz77Factorization(tuple(factors)), w
+
+
+def test_lz77_racing_first_reads_both_get_the_factors(monkeypatch):
+    # two threads both start building the tuple from the columns: each waits
+    # inside its build until the other has begun, and both get the factors
+    w = fibonacci_word(14)[:300]
+    want = lz77_factorize(w).factors
+    barrier = threading.Barrier(2, timeout=10)
+    waited = set()
+
+    def factor(*args):
+        if threading.get_ident() not in waited:
+            waited.add(threading.get_ident())
+            barrier.wait()
+        return LzFactor(*args)
+
+    monkeypatch.setattr(measures, "LzFactor", factor)
+    lz = lz77_factorize(w)
+    got = [None, None]
+
+    def read(k):
+        got[k] = lz.factors
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want, want] and len(waited) == 2
+    assert vars(lz) == {"factors": want}

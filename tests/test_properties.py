@@ -1,6 +1,11 @@
 """Property tests: the text parsers and the scheme decoder raise only their
 own documented errors, whatever text they are given, and every command that
-reads an input maps whatever bytes it reads to a documented exit code."""
+reads an input maps whatever bytes it reads to a documented exit code and
+refuses an input over --max-bytes without reading far past it."""
+
+import io
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -93,3 +98,31 @@ def test_input_commands_exit_with_documented_codes(workdir, command, data, schem
     argv = [str(workdir / "scheme") if arg == "SCHEME" else arg for arg in command]
     argv += ["-i", str(workdir / "in"), "-o", str(workdir / "out")]
     assert cli.main(argv) in (0, 1, 2)
+
+
+class _CountingStdin:
+    """A stdin whose buffer wraps a BytesIO and counts the bytes read from it."""
+
+    def __init__(self, data):
+        self.buffer, self.raw, self.taken = self, io.BytesIO(data), 0
+
+    def read(self, size=-1):
+        chunk = self.raw.read(size)
+        self.taken += len(chunk)
+        return chunk
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS, ids=" ".join)
+@given(limit=st.integers(-5, 64), data=st.binary(max_size=72))
+def test_max_bytes_refuses_larger_inputs_and_bounds_the_read(workdir, command, limit, data):
+    # a limit below 1 is a usage error raised by argparse before anything is read
+    (workdir / "scheme").write_bytes(b"BMS 2\nL 1 61\nR 2 1 1\n")
+    argv = [str(workdir / "scheme") if arg == "SCHEME" else arg for arg in command]
+    stdin = _CountingStdin(data)
+    with mock.patch.object(sys, "stdin", stdin):
+        try:
+            code = cli.main(argv + [f"--max-bytes={limit}", "-o", str(workdir / "out")])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2 if len(data) > limit else code in (0, 1, 2)
+    assert stdin.taken <= max(limit, 0) + 3

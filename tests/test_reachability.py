@@ -282,6 +282,18 @@ def test_orbit_budget_refuses_before_any_allocation(monkeypatch):
         orbit_connected(parikh("a" * 30 + "b"), budget=31)
 
 
+def test_orbit_connected_single_member_class_builds_nothing(monkeypatch):
+    # a one-symbol class is one member, its own image under both steps: a
+    # class of 10^8 symbols passes the byte budget but needs no transform
+    def refuse(*args):
+        raise AssertionError("built or transformed a single-member class")
+
+    for name in ("bbwt", "canonical_smallest", "_class_rows", "_roots_per_member"):
+        monkeypatch.setattr(reachability, name, refuse)
+    assert orbit_connected(ParikhVector(((97, 10**8),))) == OrbitReport(1, 1, True, None)
+    assert orbit_connected(parikh("z")) == OrbitReport(1, 1, True, None)
+
+
 def test_transform_to_smallest_golden():
     assert transform_to_smallest("ba").format() == "r1"
     assert transform_to_smallest("bab").format() == "r2"
