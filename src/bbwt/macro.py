@@ -63,7 +63,7 @@ def _held(field: str, build):
 
     def count(self) -> int:
         cols = self.__dict__.get("_cols")
-        return len(getattr(self, field)) if cols is None else len(cols[0])
+        return len(self.__dict__[field]) if cols is None else len(cols[0])
     return __getattr__, property(count)
 
 
