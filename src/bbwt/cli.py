@@ -11,7 +11,7 @@ import sys
 
 from . import macro, measures, reachability, rotation, transforms
 
-DEFAULT_LIMIT = 1 << 26
+DEFAULT_LIMIT = 1 << 25
 
 
 def _read_input(args) -> bytes:
@@ -61,16 +61,15 @@ def _read_scheme(path: str, max_bytes: int) -> macro.MacroScheme:
         if len(line) == head_max and not line.endswith(b"\n"):  # padded, as in BMS 000...
             raise ValueError(
                 f"scheme header is over the {head_max} bytes of one within --max-bytes")
-        head = line.decode("latin-1")
-        n = macro.scheme_from_text(head).n  # SchemeFormatError -> exit 2
+        n = macro.scheme_from_text(line.decode("latin-1")).n  # SchemeFormatError -> exit 2
         if n > max_bytes:  # refused before decoding allocates n positions
             raise ValueError(
                 f"scheme claims {n} positions, over the --max-bytes limit of {max_bytes}")
         limit = max(n, 0) * (3 * len(str(n)) + 6)
-        body = fh.read(limit + 1)
-    if len(body) > limit:
+        text = (line + fh.read(limit + 1)).decode("latin-1")
+    if len(text) - len(line) > limit:
         raise ValueError(f"scheme file is over the {limit} bytes of lines {n} positions can take")
-    return macro.scheme_from_text(head + body.decode("latin-1"))
+    return macro.scheme_from_text(text)
 
 
 def _write_output(args, data: bytes) -> None:
@@ -236,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="drop one trailing newline from the input")
     io_common.add_argument("--max-bytes", type=_max_bytes, default=DEFAULT_LIMIT,
                            help="input size limit, also on the length a verified "
-                                "scheme claims (default 2^26)")
+                                "scheme claims (default 2^25)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", parents=[io_common],

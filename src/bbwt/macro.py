@@ -4,19 +4,21 @@ A scheme partitions positions 1..n into literal phrases (one symbol each) and
 reference phrases copying an equal-length block from elsewhere in the same
 text, possibly forward.  Chains of references must bottom out at literals.
 
-Past _SMALL symbols an induced scheme is columns, not phrase objects:
-induction reads the transform's run breaks as numpy masks (`_scheme_arrays`),
-and the scheme holds those columns until its phrases are first read.
-Decoding resolves every reference chain at once by pointer doubling
-(Wyllie's list ranking): each position points at its source, literals at
-themselves, and squaring the pointer map halves every chain.  An acyclic
-chain is shorter than n, so after ceil(log2 n) + 1 squarings every pointer
-rests on a literal; one that rests elsewhere is on a cycle.
+Past _SMALL positions an induced or parsed scheme is columns, not phrase
+objects, until its phrases are first read: induction reads the transform's
+run breaks as numpy masks (`_scheme_arrays`), and parsing checks each phrase
+as its line is read.  Decoding resolves every reference chain at once by
+pointer doubling (Wyllie's list ranking): each position points at its
+source, literals at themselves, and squaring the pointer map halves every
+chain.  An acyclic chain is shorter than n, so after ceil(log2 n) + 1
+squarings every pointer rests on a literal; one elsewhere is on a cycle.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +50,10 @@ class Reference:
 
 
 def _held(field: str, build):
-    """__getattr__ and a count property for a frozen dataclass that may hold
-    int columns, under "_cols", in place of its tuple `field`.  The first read
-    of `field` stores build(*columns as lists), then drops the columns, so a
-    reader racing it finds one or the other; the count reads either."""
+    """__getattr__, a count property and _holding(cols, **fields) for a frozen
+    dataclass that may hold int columns, under "_cols", in place of its tuple
+    `field`.  The first read of `field` stores build(*columns as lists), then
+    drops the columns, so a racing reader finds one or the other."""
     def __getattr__(self, name):
         cols = self.__dict__.get("_cols")
         if name != field or (cols is None and field not in self.__dict__):
@@ -64,23 +66,28 @@ def _held(field: str, build):
     def count(self) -> int:
         cols = self.__dict__.get("_cols")
         return len(self.__dict__[field]) if cols is None else len(cols[0])
-    return __getattr__, property(count)
+
+    def holding(cls, cols, **fields):
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields, _cols=cols)
+        return obj
+    return __getattr__, property(count), classmethod(holding)
 
 
 @dataclass(frozen=True)
 class MacroScheme:
     """Phrases covering positions 1..n in order.
 
-    induce_bms past _SMALL symbols returns a scheme that holds
-    _scheme_arrays' columns instead; phrase_count, scheme_to_text and
-    decode_bms read them.  The phrase tuple is built when .phrases is first
-    read, and the columns are dropped then, so a scheme never holds both.
-    Equality, hash, repr and pickling are those of MacroScheme(n, phrases).
+    Past _SMALL positions, induce_bms and scheme_from_text return one holding
+    sound columns in _scheme_arrays' layout; phrase_count, scheme_to_text and
+    decode_bms read them.  .phrases builds the phrase tuple on its first read
+    and drops the columns, so a scheme never holds both.  Equality, hash,
+    repr and pickling are those of MacroScheme(n, phrases).
     """
     n: int
     phrases: tuple
 
-    __getattr__, phrase_count = _held("phrases", lambda *cols: tuple(
+    __getattr__, phrase_count, _holding = _held("phrases", lambda *cols: tuple(
         Reference(s, k, src) if src else Literal(s, c) for s, k, src, c in zip(*cols)))
 
 
@@ -110,9 +117,7 @@ def induce_bms(w) -> MacroScheme:
         raise ValueError("induce_bms: empty input")
     n = len(w)
     if n > _SMALL:
-        m = object.__new__(MacroScheme)
-        m.__dict__.update(n=n, _cols=_scheme_arrays(w))
-        return m
+        return MacroScheme._holding(_scheme_arrays(w), n=n)
     core = _core(w)
     src = [-1] * n  # -1 marks a literal; sources are never negative
     prev_c, prev_t = -1, -1
@@ -161,20 +166,21 @@ def _scheme_arrays(w: bytes) -> tuple[np.ndarray, ...]:
 _LITERAL_LINE = "L {} {:02x}"
 _REFERENCE_LINE = "R {} {} {}"
 _LINES_PER_CHUNK = 1 << 16
+# one line of text.splitlines(): a stretch free of its line boundaries
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")
 
 
-def _checked(m: MacroScheme, walk: bool) -> tuple:
+def _checked(n: int, phrases, walk: bool) -> tuple:
     """Check coverage and ranges, phrase by phrase, in one pass that fills
     what one decoder reads.
 
     For the chain walk: per-position (symbols, sources), a bytearray with each
     literal's symbol and a list with each position's 0-based source, -1 for a
-    literal.  For pointer doubling: typed 0-based columns (literal positions,
-    literal symbols, reference starts, lengths, sources), one entry per
-    phrase.  Either grows per phrase, so a header claiming more positions than
-    the phrases cover allocates nothing for the positions that are missing.
+    literal.  For pointer doubling: _scheme_arrays' layout, one entry per
+    phrase, in int32 arrays (the checks keep values below _MAX_N) and bytes.
+    Either grows per phrase, so a header claiming more positions than the
+    phrases cover allocates nothing for the positions that are missing.
     """
-    n = m.n
     if n < 0:
         raise SchemeStructureError("negative length")
     if n >= _MAX_N:
@@ -183,10 +189,9 @@ def _checked(m: MacroScheme, walk: bool) -> tuple:
     if walk:
         val, src = bytearray(), []
     else:
-        lit_pos, lit_sym, ref_start, ref_len, ref_src = cols = (
-            array("q"), bytearray(), array("q"), array("q"), array("q"))
+        cols = array("i"), array("i"), array("i"), array("B")
     cursor = 1
-    for ph in m.phrases:
+    for ph in phrases:
         if isinstance(ph, Literal):
             if ph.position != cursor:
                 raise SchemeStructureError(
@@ -197,8 +202,8 @@ def _checked(m: MacroScheme, walk: bool) -> tuple:
                 val.append(ph.symbol)
                 src.append(-1)
             else:
-                lit_pos.append(cursor - 1)
-                lit_sym.append(ph.symbol)
+                for col, value in zip(cols, (cursor, 1, 0, ph.symbol)):
+                    col.append(value)
             cursor += 1
         elif isinstance(ph, Reference):
             start, length, source = ph.start, ph.length, ph.source_start
@@ -215,9 +220,8 @@ def _checked(m: MacroScheme, walk: bool) -> tuple:
                 val += bytes(length)
                 src += range(source - 1, source - 1 + length)
             else:
-                ref_start.append(cursor - 1)
-                ref_len.append(length)
-                ref_src.append(source - 1)
+                for col, value in zip(cols, (cursor, length, source, 0)):
+                    col.append(value)
             cursor += length
         else:
             raise SchemeStructureError(f"unknown phrase type {type(ph).__name__}")
@@ -226,26 +230,18 @@ def _checked(m: MacroScheme, walk: bool) -> tuple:
     return (val, src) if walk else cols
 
 
-# Up to this many positions decode_bms walks chains in Python; above it,
-# numpy's fixed cost pays.  Per scheme, walk against doubling: 38 against 53
-# us at n = 128 on random 4-symbol text, 57 against 69 at 192, 121 against
-# 120 at 384, 163 against 149 at 512; on Fibonacci prefixes 32 against 53
-# at 128, 74 against 74 at 384, 99 against 84 at 512.
-_WALK_MAX = 384
-
-
 def decode_bms(m: MacroScheme) -> bytes:
     """Resolve every reference chain down to its literal; the unique decoding.
 
-    Up to _WALK_MAX positions each chain is walked in Python.  Above it the
+    Up to _SMALL positions each chain is walked in Python.  Above it the
     chains are resolved together by pointer doubling: ptr[t] is t's source
     (t itself for a literal), and ptr = ptr[ptr] runs at most
     ceil(log2 n) + 1 times, stopping early once ptr no longer changes.  An
     acyclic chain has fewer than n steps, so a pointer that then rests off a
     literal lies on a cycle.
 
-    A scheme holding induce_bms' columns is sound by construction, so its
-    literals and sources go to pointer doubling unchecked.
+    A scheme holding columns (from induce_bms or scheme_from_text) is sound
+    by construction, so they go to pointer doubling unchecked.
 
     Raises SchemeStructureError on malformed coverage, a cyclic chain (naming
     a position on the cycle), or a length of 2^31 or more (longer than any
@@ -253,14 +249,11 @@ def decode_bms(m: MacroScheme) -> bytes:
     phrases are shown to cover 1..n.
     """
     cols = m.__dict__.get("_cols")
+    if cols is None and m.n > _SMALL:
+        cols = _checked(m.n, m.phrases, False)
     if cols is not None:
-        starts, lengths, sources, firsts = cols
-        lit, ref = sources == 0, sources != 0
-        return _double_pointers(m.n, starts[lit] - 1, firsts[lit],
-                                starts[ref] - 1, lengths[ref], sources[ref] - 1)
-    if m.n > _WALK_MAX:
-        return _double_pointers(m.n, *_checked(m, False))
-    out, src = _checked(m, True)
+        return _double_pointers(m.n, *cols)
+    out, src = _checked(m.n, m.phrases, True)
     state = bytearray(m.n)  # 0 unresolved, 1 on the active chain, 2 resolved
     for t0 in range(m.n):
         if state[t0] or src[t0] < 0:
@@ -282,19 +275,18 @@ def decode_bms(m: MacroScheme) -> bytes:
     return bytes(out)
 
 
-def _double_pointers(n, lit_pos, lit_sym, ref_start, ref_len, ref_src) -> bytes:
-    """decode_bms above _WALK_MAX: every chain at once by pointer doubling."""
-    lit_pos = np.frombuffer(lit_pos, dtype=np.int64)
-    ref_start = np.frombuffer(ref_start, dtype=np.int64)
-    ref_len = np.frombuffer(ref_len, dtype=np.int64)
+def _double_pointers(n, starts, lengths, sources, symbols) -> bytes:
+    """decode_bms above _SMALL: every chain at once by pointer doubling."""
+    starts, lengths, sources = (np.asarray(col) for col in (starts, lengths, sources))
+    first, lit = starts - 1, sources == 0
     # ptr[t] = t + (source - start) of t's reference, or t for a literal: a
-    # running sum of 1 per position plus each offset from its reference's
-    # start to its end
-    off = (np.frombuffer(ref_src, dtype=np.int64) - ref_start).astype(np.int32)
+    # running sum of 1 per position plus each offset from its phrase's start
+    # to its end
+    off = np.where(lit, 0, sources - starts).astype(np.int32)
     step = np.ones(n + 1, dtype=np.int32)
     step[0] = 0
-    step[ref_start] += off
-    step[ref_start + ref_len] -= off
+    step[first] += off
+    step[first + lengths] -= off
     ptr = np.cumsum(step[:n], dtype=np.int32)  # n < 2^31: every index fits
     del step
     for _ in range((n - 1).bit_length() + 1):
@@ -304,13 +296,13 @@ def _double_pointers(n, lit_pos, lit_sym, ref_start, ref_len, ref_src) -> bytes:
         ptr = nxt
     del nxt
     is_lit = np.zeros(n, dtype=bool)
-    is_lit[lit_pos] = True
+    is_lit[first] = lit
     landed = is_lit[ptr]
     if not landed.all():
         t = int(ptr[np.argmin(landed)])
         raise SchemeStructureError(f"cyclic reference chain through position {t + 1}")
     sym = np.zeros(n, dtype=np.uint8)
-    sym[lit_pos] = np.frombuffer(lit_sym, dtype=np.uint8)
+    sym[first] = np.asarray(symbols)
     return sym[ptr].tobytes()
 
 
@@ -361,25 +353,12 @@ def scheme_to_text(m: MacroScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scheme_from_text(text: str) -> MacroScheme:
-    """Parse the serialization produced by scheme_to_text.
-
-    Raises SchemeFormatError on any malformed line; structural soundness is
-    checked separately by decode/validate.
-    """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise SchemeFormatError("empty scheme text")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "BMS":
-        raise SchemeFormatError(f"bad header: {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise SchemeFormatError(f"bad length in header: {head[1]!r}") from None
-    phrases = []
-    for ln in lines[1:]:
+def _parsed(text: str, after: int):
+    """The phrase of each nonempty line of text[after:], one line at a time."""
+    for mt in _LINE.finditer(text, after):
+        ln = mt.group().strip()
+        if not ln:
+            continue
         parts = ln.split()
         if parts[0] == "L" and len(parts) == 3:
             try:
@@ -389,13 +368,35 @@ def scheme_from_text(text: str) -> MacroScheme:
                 raise SchemeFormatError(f"bad literal line: {ln!r}") from None
             if not 0 <= sym <= 255:
                 raise SchemeFormatError(f"symbol out of range: {ln!r}")
-            phrases.append(Literal(pos, sym))
+            yield Literal(pos, sym)
         elif parts[0] == "R" and len(parts) == 4:
             try:
                 start, length, source = (int(p) for p in parts[1:])
             except ValueError:
                 raise SchemeFormatError(f"bad reference line: {ln!r}") from None
-            phrases.append(Reference(start, length, source))
+            yield Reference(start, length, source)
         else:
             raise SchemeFormatError(f"unrecognized line: {ln!r}")
-    return MacroScheme(n, tuple(phrases))
+
+
+def scheme_from_text(text: str) -> MacroScheme:
+    """Parse the serialization produced by scheme_to_text.
+
+    Raises SchemeFormatError on any malformed line; structural soundness is
+    checked separately by decode/validate (past _SMALL positions, a scheme
+    passing decode_bms' checks as it is parsed holds columns).
+    """
+    first = next((mt for mt in _LINE.finditer(text) if mt.group().strip()), None)
+    if first is None:
+        raise SchemeFormatError("empty scheme text")
+    head = first.group().split()
+    if len(head) != 2 or head[0] != "BMS":
+        raise SchemeFormatError(f"bad header: {first.group().strip()!r}")
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise SchemeFormatError(f"bad length in header: {head[1]!r}") from None
+    if n > _SMALL:
+        with suppress(SchemeStructureError):  # if unsound, parsed again below
+            return MacroScheme._holding(_checked(n, _parsed(text, first.end()), False), n=n)
+    return MacroScheme(n, tuple(_parsed(text, first.end())))

@@ -34,7 +34,7 @@ class Lz77Factorization:
     """
     factors: tuple[LzFactor, ...]
 
-    __getattr__, z = _held("factors", lambda starts, lengths, sources: tuple(
+    __getattr__, z, _holding = _held("factors", lambda starts, lengths, sources: tuple(
         map(LzFactor, starts, lengths, [src or None for src in sources])))
 
 
@@ -149,9 +149,7 @@ def lz77_factorize(w) -> Lz77Factorization:
         raise ValueError("lz77_factorize: empty input")
     if len(w) <= _SMALL:
         return Lz77Factorization(tuple(_lz77_small(w)))
-    lz = object.__new__(Lz77Factorization)
-    lz.__dict__["_cols"] = _lz77_sa(w)
-    return lz
+    return Lz77Factorization._holding(_lz77_sa(w))
 
 
 def fibonacci_word(k: int, max_length: int = 1 << 26) -> bytes:

@@ -16,6 +16,7 @@ from bbwt import (
     Reference,
     SchemeFormatError,
     SchemeStructureError,
+    ValidationReport,
     bbwt,
     decode_bms,
     induce_bms,
@@ -289,6 +290,40 @@ def test_scheme_from_text_skips_blank_lines():
     assert s == induce_bms("aaa")
 
 
+def test_unsound_parsed_schemes_keep_their_phrases():
+    # "BMS 100\nL 1 61\nR 2 99 1\n" is sound and holds columns; each scheme
+    # below breaks coverage or a range, so its text parses to phrases that
+    # decode_bms and validate_bms check as they check any phrase-built scheme
+    assert "_cols" in vars(scheme_from_text("BMS 100\nL 1 61\nR 2 99 1\n"))
+    a = Literal(1, 97)
+    for n, phrases in [
+        (100, (a, Reference(3, 98, 1))),  # a gap at 2
+        (100, (a, Reference(2, 1, 0), Reference(3, 98, 1))),  # source 0
+        (100, (a, Reference(2, 99, 3))),  # a source past n
+        (2**31, (a, Reference(2, 99, 1))),
+        *((big, (a, Reference(2, 99, 1))) for big in (2**63, 10**20)),
+        *((100, (a, Reference(2, big, 1))) for big in (2**63, 10**20)),
+        *((100, (a, Reference(2, 99, big))) for big in (2**63, 10**20)),
+    ]:
+        m = scheme_from_text(scheme_to_text(MacroScheme(n, phrases)))
+        assert vars(m) == {"n": n, "phrases": phrases}, (n, phrases)
+        assert validate_bms(m, b"a" * 100) == ValidationReport(len(phrases), False, False, True)
+
+
+def test_scheme_from_text_memory():
+    # about 2^17 phrases: held as typed columns, not as line strings and
+    # phrase objects
+    text = scheme_to_text(induce_bms(bytes(random.Random(17).choices(b"acgt", k=140000))))
+    tracemalloc.start()
+    try:
+        m = scheme_from_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.phrase_count > 125000
+    assert peak <= 6 * 10**6, peak
+
+
 
 def _column_texts():
     for w in O.all_strings("abc", 1, 8):
@@ -339,6 +374,8 @@ def _held_texts():
 _HELD = [
     pytest.param(induce_bms, lambda w, tup: MacroScheme(len(w), tup), "phrases",
                  id="MacroScheme"),
+    pytest.param(lambda w: scheme_from_text(scheme_to_text(induce_bms(w))),
+                 lambda w, tup: MacroScheme(len(w), tup), "phrases", id="parsed"),
     pytest.param(lz77_factorize, lambda w, tup: Lz77Factorization(tup), "factors",
                  id="Lz77Factorization"),
 ]
@@ -413,8 +450,8 @@ def test_held_columns_decode_like_both_checked_paths():
 def _decode_both(m):
     """(bytes or None) from each decode path: walk, then pointer doubling."""
     results = []
-    for walk_max in (1 << 31, -1):
-        with mock.patch.object(macro, "_WALK_MAX", walk_max):
+    for small in (1 << 31, -1):
+        with mock.patch.object(macro, "_SMALL", small):
             try:
                 results.append(decode_bms(m))
             except SchemeStructureError:
@@ -452,7 +489,13 @@ def small_schemes(draw):
 @given(small_schemes())
 def test_decode_paths_agree(m):
     walked, doubled = _decode_both(m)
-    assert walked == doubled
+    # parsed past a cutoff of -1, a sound scheme holds columns at every n
+    with mock.patch.object(macro, "_SMALL", -1):
+        try:
+            parsed = decode_bms(scheme_from_text(scheme_to_text(m)))
+        except SchemeStructureError:
+            parsed = None
+    assert walked == doubled == parsed
 
 
 def _by_position(n, sources):
@@ -470,7 +513,7 @@ def _cycle_position(m):
 
 def test_decode_large_path_cycles():
     n = 1000
-    assert n > macro._WALK_MAX
+    assert n > macro._SMALL
     # a self-reference
     assert _cycle_position(_by_position(n, {500: 500})) == 500
     # a 2-cycle
