@@ -151,7 +151,7 @@ def _scheme_arrays(w: bytes) -> tuple[np.ndarray, ...]:
     """
     n = len(w)
     core = _core(w)
-    tpos = np.fromiter(core.tpos, dtype=np.int64, count=n)
+    tpos = np.asarray(core.tpos, dtype=np.int64)  # the core's array past _SMALL
     out = np.frombuffer(core.output, dtype=np.uint8)
     same = out[1:] == out[:-1]
     src = np.full(n, -1, dtype=np.int64)  # -1 marks a literal

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 from ._ranks import rotation_ranks
 
-Text = bytes
-
 _GALLOP = 16  # equal Duval steps in a row before lyndon_factorize gallops
 
 

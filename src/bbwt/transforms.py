@@ -41,15 +41,15 @@ def count_runs(x) -> int:
     return 1 + sum(map(ne, x, x[1:]))
 
 
-def _omega_sort(w: bytes, necklaces) -> tuple[tuple[int, ...], Sequence[int], bytes]:
+def _omega_sort(w: bytes, necklaces) -> tuple[Sequence[int], Sequence[int], bytes]:
     """Sort the rotations of nonempty w's cyclic segments by their infinite powers.
 
     necklaces spells w as (word, count) pairs; each copy of a word is one
     segment.  Returns (csa, tpos, output): the 1-based starts in sorted
     order, ties by start; the 0-based text position of each output symbol,
     the start's cyclic predecessor in its segment; and the symbols there.
-    Past _SMALL, tpos is a memoryview of an int64 array, so a caller that
-    drops it builds no tuple.
+    csa and tpos are tuples up to _SMALL and read-only int64 arrays past it,
+    so the memo can share them and no caller builds a tuple it does not read.
     """
     n = len(w)
     if n <= _SMALL:
@@ -79,9 +79,14 @@ def _omega_sort(w: bytes, necklaces) -> tuple[tuple[int, ...], Sequence[int], by
         shift = copy_lens.cumsum() - copy_lens - np.repeat(lens.cumsum() - lens, counts)
         rank = rank[pos - np.repeat(shift, copy_lens)]
     order = np.argsort(rank * n + pos)  # unique keys: ties by position
-    tpos_array = cyclic_pred(copy_lens)[order]
-    output = np.frombuffer(w, dtype=np.uint8)[tpos_array].tobytes()
-    return tuple((order + 1).data), tpos_array.data, output
+    csa, tpos = order + 1, cyclic_pred(copy_lens)[order]
+    csa.flags.writeable = tpos.flags.writeable = False
+    return csa, tpos, np.frombuffer(w, dtype=np.uint8)[tpos].tobytes()
+
+
+def _ints(column: Sequence[int]) -> Sequence[int]:
+    """An _omega_sort column as Python ints, never np.int64 (their repr differs)."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def bwt(w) -> TransformResult:
@@ -90,15 +95,15 @@ def bwt(w) -> TransformResult:
     if not w:
         raise ValueError("bwt: empty input")
     csa, _, output = _omega_sort(w, ((w, 1),))
-    return TransformResult(output, csa, count_runs(output))
+    return TransformResult(output, tuple(_ints(csa)), count_runs(output))
 
 
 class _Core(NamedTuple):
     """One text's transform; every field is immutable, so the memo can share it."""
 
     fact: LyndonFactorization
-    csa: tuple[int, ...]  # 1-based rotation starts in omega order
-    tpos: tuple[int, ...]  # 0-based text position of each output symbol
+    csa: Sequence[int]  # 1-based rotation starts in omega order
+    tpos: Sequence[int]  # 0-based text position of each output symbol
     output: bytes
     runs: int
 
@@ -113,7 +118,7 @@ def _core(w: bytes) -> _Core:
     """
     fact = lyndon_factorize(w)
     csa, tpos, output = _omega_sort(w, fact.necklaces)
-    return _Core(fact, csa, tuple(tpos), output, count_runs(output))
+    return _Core(fact, csa, tpos, output, count_runs(output))
 
 
 def bbwt(w) -> TransformResult:
@@ -126,7 +131,7 @@ def bbwt(w) -> TransformResult:
     if not w:
         raise ValueError("bbwt: empty input")
     core = _core(w)
-    return TransformResult(core.output, core.csa, core.runs)
+    return TransformResult(core.output, tuple(_ints(core.csa)), core.runs)
 
 
 _ROW_CELLS = 1 << 19  # cells per _bbwt_rows chunk: about 100 B of temporaries each, 50 MB
@@ -248,21 +253,18 @@ def omega_lcp_array(w) -> list:
     if not w:
         raise ValueError("omega_lcp_array: empty input")
     core = _core(w)
-    home = []  # home[p - 1]: (start, stop) of the factor copy holding 1-based position p
-    pos = 0
-    for f, count in core.fact.necklaces:
-        for _ in range(count):
-            home += [(pos, pos + len(f))] * len(f)
-            pos += len(f)
+    lens = [len(f) for f, count in core.fact.necklaces for _ in range(count)]  # one per copy
+    stops = np.repeat(np.cumsum(lens), lens)  # stops[p - 1]: end of the copy holding 1-based p
+    starts = stops - np.repeat(lens, lens)
 
     def rotation(p: int) -> bytes:
         """The factor rotation starting at 1-based position p."""
-        start, stop = home[p - 1]
-        return w[p - 1:stop] + w[start:p - 1]
+        return w[p - 1:stops[p - 1]] + w[starts[p - 1]:p - 1]
 
+    csa = _ints(core.csa)
     values: list = [0]
-    v = rotation(core.csa[0])
-    for p in core.csa[1:]:
+    v = rotation(csa[0])
+    for p in csa[1:]:
         u, v = v, rotation(p)
         if u == v:
             values.append(INF)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import subprocess
 import sys
@@ -167,7 +168,7 @@ def _omega_sort_both_layouts(w, monkeypatch):
     necklaces = lyndon_factorize(w).necklaces
     grouped = transforms._omega_sort(w, necklaces)
     single = transforms._omega_sort(w, [(f, 1) for f, count in necklaces for _ in range(count)])
-    return [(csa, list(tpos), out) for csa, tpos, out in (grouped, single)], sizes
+    return [(list(csa), list(tpos), out) for csa, tpos, out in (grouped, single)], sizes
 
 
 def test_one_copy_layout_ranks_the_period_only(monkeypatch):
@@ -200,7 +201,7 @@ def _brute_omega_sort(w, necklaces):
             pos += len(f)
     order = sorted(range(len(w)), key=keys.__getitem__)
     tpos = [pred[p] for p in order]
-    return tuple(p + 1 for p in order), tpos, bytes(w[t] for t in tpos)
+    return [p + 1 for p in order], tpos, bytes(w[t] for t in tpos)
 
 
 # necklace lists that repeat a word, list words out of order or list words
@@ -221,7 +222,7 @@ def test_omega_sort_takes_any_necklace_list(necklaces):
     w = b"".join(f * count for f, count in necklaces)
     assert 2 * sum(len(f) for f, _ in necklaces) <= len(w)
     csa, tpos, out = transforms._omega_sort(w, necklaces)
-    assert (csa, list(tpos), out) == _brute_omega_sort(w, necklaces)
+    assert (list(csa), list(tpos), out) == _brute_omega_sort(w, necklaces)
 
 
 def _check_rows(rows):
@@ -508,9 +509,47 @@ def test_transform_memo_matches_fresh_process():
 
 def test_transform_memo_shares_only_immutable_data():
     for w in (b"abbbabbababab", next(O.random_strings(132, 1, 150, (2,), n_lo=100))):
-        # hashing fails on any list, bytearray or array inside the core
-        hash(_core(w))
+        for field in _core(w):
+            if isinstance(field, np.ndarray):  # csa and tpos past _SMALL
+                assert field.dtype == np.int64
+                with pytest.raises(ValueError):
+                    field[0] = 0
+            else:  # hashing fails on any list, bytearray or mutable array inside
+                hash(field)
         assert type(bbwt(w).csa) is tuple
         lcps = omega_lcp_array(w)
         lcps[0] = "changed"
         assert omega_lcp_array(w)[0] == 0
+
+
+@pytest.mark.parametrize("n", [65, 1000])
+@pytest.mark.parametrize("kind", ["random", "periodic"])
+def test_transform_csa_is_a_tuple_of_ints_past_small(kind, n):
+    # the core holds int64 arrays past _SMALL; the public csa stays Python ints
+    if kind == "random":
+        w = next(O.random_strings(n, 1, n, (4,), n_lo=n))
+    else:
+        w = (b"abaab" * n)[:n]
+    for got, csa in ((bbwt(w), O.brute_bbwt(w)[1]), (bwt(w), O.brute_bwt_csa(w))):
+        assert type(got.csa) is tuple and {type(p) for p in got.csa} == {int}
+        assert got.csa == csa
+        built = TransformResult(got.output, tuple(csa), got.runs)
+        assert repr(got) == repr(built)
+        assert pickle.dumps(got) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(got)) == built
+
+
+def test_transform_memo_keeps_no_per_position_python_ints():
+    # the memo keeps the last core after the call returns: past _SMALL it is
+    # int64 arrays (8 B a position each), not tuples of Python ints
+    w = bytes(random.Random(20).choices(b"acgt", k=1 << 17))
+    _core.cache_clear()
+    tracemalloc.start()
+    try:
+        scheme = pkg.induce_bms(w)
+        del scheme
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _core.cache_clear()
+    assert held <= 32 * len(w), held / len(w)
