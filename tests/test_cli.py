@@ -512,9 +512,9 @@ def test_bms_verify_bounds_the_scheme_read(tmp_path, monkeypatch, capsys):
 
 
 def test_default_max_bytes_is_pinned(capsys):
-    # measured with tools/cli_rss.py at 2^22 bytes: the worst subcommand, bms
-    # build, peaks about 135 B per input byte above the import baseline, so
-    # the default input takes about 4.5 GB, where 2^26 bytes would take 9
+    # measured with tools/cli_rss.py at 2^22 bytes: the worst subcommand,
+    # lynrot, peaks about 99 B per input byte above the import baseline, so
+    # the default input takes about 3.3 GB, where 2^26 bytes would take 6.7
     assert cli.DEFAULT_LIMIT == 1 << 25
     parser = cli._build_parser()
     assert parser.parse_args(["bms", "verify", "s.txt"]).max_bytes == cli.DEFAULT_LIMIT
