@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ranks import cyclic_pred, power_ranks, rotation_ranks
-from .strings import _lyndon_prefix, as_text, is_lyndon, rot
+from .strings import as_text, is_lyndon, rot
 from .transforms import bbwt
 
 
@@ -120,78 +120,68 @@ def best_rotation(w) -> BestRotation:
     return BestRotation(shift, rot(w, shift), best_runs)
 
 
-def _realize(split_root, n: int) -> TreeNode:
-    """Turn a nested [split, left, right] structure over cut points 1..n-1
-    into interval TreeNodes covering [1..n]."""
-    pending = []
-    stack = [(split_root, 0, n)]
-    while stack:
-        node, i, j = stack.pop()
-        pending.append((node, i, j))
-        t, left, right = node
-        if left is not None:
-            stack.append((left, i, t))
-        if right is not None:
-            stack.append((right, t, j))
-    made: dict[int, TreeNode] = {}
-    for node, i, j in reversed(pending):
-        t, left, right = node
-        lnode = made[id(left)] if left is not None else TreeNode(i + 1, t)
-        rnode = made[id(right)] if right is not None else TreeNode(t + 1, j)
-        made[id(node)] = TreeNode(i + 1, j, lnode, rnode)
-    return made[id(split_root)]
+def _tree(flavor: str, splits: list[tuple[int, int, int]], n: int) -> LyndonTree:
+    """The LyndonTree over 1..n whose cut t splits node w[i:j] for each
+    (i, j, t) in splits, which list every node before its descendants."""
+    made: dict[tuple[int, int], TreeNode] = {}
+    for i, j, t in reversed(splits):
+        left = made.pop((i, t)) if t - i > 1 else TreeNode(i + 1, t)
+        right = made.pop((t, j)) if j - t > 1 else TreeNode(t + 1, j)
+        made[i, j] = TreeNode(i + 1, j, left, right)
+    return LyndonTree(flavor, made[0, n] if n > 1 else TreeNode(1, 1))
 
 
 def right_lyndon_tree(w) -> LyndonTree:
-    """Recursive split at the longest proper Lyndon suffix.
+    """Recursive split at the longest proper Lyndon suffix, in linear time.
 
-    That suffix is the lexicographically smallest proper suffix, so the tree
-    is the minimum-at-top binary tree over suffix ranks at cut points.  A
-    Lyndon word's rotations sort as its suffixes do, so rotation ranks serve.
+    That suffix is the smallest proper suffix, so cut t splits the node from
+    the nearest smaller suffix rank before t to the nearest after it (a
+    Lyndon word's rotation ranks serve), and a parent's cut ranks lowest.
+    TreeNode's ==, hash, repr and pickling recurse once per level, so on
+    trees deeper than the recursion limit they raise RecursionError.
     """
     w = as_text(w)
     if not is_lyndon(w):
         raise ValueError("right_lyndon_tree: input is not a Lyndon word")
     n = len(w)
-    if n == 1:
-        return LyndonTree("RIGHT", TreeNode(1, 1))
     ranks = rotation_ranks(w)
-    stack: list[list] = []
-    for t in range(1, n):
-        last = None
-        while stack and ranks[stack[-1][0]] > ranks[t]:
-            last = stack.pop()
-        node = [t, last, None]
-        if stack:
-            stack[-1][2] = node
-        stack.append(node)
-    return LyndonTree("RIGHT", _realize(stack[0], n))
+    hi = _next_smaller(ranks)
+    lo = [n - 1 - b for b in reversed(_next_smaller(ranks[::-1]))]
+    by_rank = [0] * n
+    for t, r in enumerate(ranks):
+        by_rank[r] = t
+    return _tree("RIGHT", [(lo[t], hi[t], t) for t in by_rank[1:]], n)
 
 
 def left_lyndon_tree(w) -> LyndonTree:
-    """Recursive split at the longest proper Lyndon prefix."""
+    """Recursive split at the longest proper Lyndon prefix, in linear time.
+
+    Every left child, like the root, spells a prefix w[:m], and its right
+    spine cuts at the Lyndon factors of w[:m - 1], which _prefix_counts
+    lists: q copies of w[:(j - par) // q], then the factors of w[:par].
+    Deep trees: see right_lyndon_tree.
+    """
     w = as_text(w)
     if not is_lyndon(w):
         raise ValueError("left_lyndon_tree: input is not a Lyndon word")
     n = len(w)
-    if n == 1:
-        return LyndonTree("LEFT", TreeNode(1, 1))
-    pending = []
-    stack = [(0, n)]
+    p_cnt, _, p_par = _prefix_counts(w)
+    splits = []
+    stack = [(0, n)]  # (x, m): a node at text offset x spelling w[:m]
     while stack:
-        i, j = stack.pop()
-        if j - i == 1:
-            continue
-        length = _lyndon_prefix(w, i, j - 1)  # the longest proper one of w[i:j]
-        pending.append((i, j, length))
-        stack.append((i, i + length))
-        stack.append((i + length, j))
-    made: dict[tuple[int, int], TreeNode] = {}
-    for i, j, length in reversed(pending):
-        left = made.get((i, i + length)) or TreeNode(i + 1, i + length)
-        right = made.get((i + length, j)) or TreeNode(i + length + 1, j)
-        made[(i, j)] = TreeNode(i + 1, j, left, right)
-    return LyndonTree("LEFT", made[(0, n)])
+        x, m = stack.pop()
+        i, j = x, m - 1
+        while j:  # the factors of w[:j], cut one by one off the spine
+            par = p_par[j]
+            q = p_cnt[j] - p_cnt[par]
+            size = (j - par) // q
+            for _ in range(q):
+                splits.append((i, x + m, i + size))
+                if size > 1:
+                    stack.append((i, size))
+                i += size
+            j = par
+    return _tree("LEFT", splits, n)
 
 
 def _frame(w: bytes, d: int) -> tuple[int, bytes, list[int]]:

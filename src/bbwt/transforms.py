@@ -248,32 +248,38 @@ def omega_lcp_array(w) -> list:
     Entry 1 is 0 by convention; equal rotations yield the INF sentinel.  The
     count of irreducible entries (i = 1 or a symbol change in the transform
     output) equals the transform's run count.
+
+    Kasai's argument (CPM 2001) over the core's csa: dropping the first
+    symbol a row shares with the row above keeps the two in order, so
+    walking a necklace's first copy rotation by rotation, the LCP falls by at
+    most one a step.  Symbols compare in place; later copies' rows are INF.
     """
     w = as_text(w)
     if not w:
         raise ValueError("omega_lcp_array: empty input")
     core = _core(w)
     lens = [len(f) for f, count in core.fact.necklaces for _ in range(count)]  # one per copy
-    stops = np.repeat(np.cumsum(lens), lens)  # stops[p - 1]: end of the copy holding 1-based p
-    starts = stops - np.repeat(lens, lens)
-
-    def rotation(p: int) -> bytes:
-        """The factor rotation starting at 1-based position p."""
-        return w[p - 1:stops[p - 1]] + w[starts[p - 1]:p - 1]
-
-    csa = _ints(core.csa)
-    values: list = [0]
-    v = rotation(csa[0])
-    for p in csa[1:]:
-        u, v = v, rotation(p)
-        if u == v:
-            values.append(INF)
-            continue
-        bound = len(u) + len(v)
-        eu = (u * (bound // len(u) + 1))[:bound]
-        ev = (v * (bound // len(v) + 1))[:bound]
-        lcp = 0
-        while lcp < bound and eu[lcp] == ev[lcp]:
-            lcp += 1
-        values.append(lcp)
+    sizes = np.repeat(lens, lens)  # sizes[p]: length of the copy holding 0-based p
+    starts = np.repeat(np.cumsum(lens), lens) - sizes  # starts[p]: that copy's text start
+    csa = np.asarray(core.csa)
+    row = np.empty(len(w), dtype=np.int64)  # row[p - 1]: where 1-based start p sorts
+    row[csa - 1] = np.arange(len(w))
+    csa, row, starts, sizes = csa.tolist(), row.tolist(), starts.tolist(), sizes.tolist()
+    values: list = [INF] * len(w)
+    values[0] = 0  # the last necklace's offset 0
+    s = 0  # text start of the necklace's first copy
+    for f, count in core.fact.necklaces:
+        m, h = len(f), 0
+        for a in range(m):
+            r = row[s + a]
+            if r:  # compare with the row above, which starts at offset p of its copy
+                p = csa[r - 1] - 1
+                b, size = starts[p], sizes[p]
+                p -= b
+                while f[(a + h) % m] == w[b + (p + h) % size]:
+                    h += 1
+                values[r] = h
+                if h:
+                    h -= 1
+        s += m * count
     return values

@@ -356,9 +356,12 @@ def all_necklaces(alphabet, n_lo, n_hi):
 
 
 def random_strings(seed, count, n_hi, sigmas, n_lo=1):
-    """Deterministic stream of (seeded) random byte strings."""
+    """Deterministic stream of (seeded) random byte strings.
+
+    Symbols start at "a", or lower when sigma passes 159 (256 - 97)."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(n_lo, n_hi)
         sigma = rng.choice(sigmas)
-        yield bytes(rng.randrange(97, 97 + sigma) for _ in range(n))
+        lo = min(97, 256 - sigma)
+        yield bytes(rng.randrange(lo, lo + sigma) for _ in range(n))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import oracles as O
@@ -122,6 +124,31 @@ def test_trees_match_recursive_definition():
             continue
         assert tree_tuple(right_lyndon_tree(w).root) == O.brute_right_tree(w), w
         assert tree_tuple(left_lyndon_tree(w).root) == O.brute_left_tree(w), w
+
+
+@pytest.mark.parametrize("build", [left_lyndon_tree, right_lyndon_tree])
+@pytest.mark.parametrize("w", [b"a" * ((1 << 15) - 1) + b"b", b"a" + b"b" * ((1 << 15) - 1)],
+                         ids=["a^(n-1)b", "ab^(n-1)"])
+def test_trees_grow_linearly(build, w):
+    # combs of depth n; rescanning each node, as an earlier left tree did,
+    # took 36-49 s at this size on a 2-core VM.  The walk is iterative, as
+    # ==, repr and tree_tuple recurse once per level.
+    start = time.perf_counter()
+    tree = build(w)
+    assert time.perf_counter() - start < 5.0
+    n, count, stack = len(w), 0, [tree.root]
+    assert (tree.root.start, tree.root.end) == (1, n)
+    while stack:
+        node = stack.pop()
+        count += 1
+        if node.is_leaf:
+            assert node.start == node.end
+            continue
+        assert node.start < node.split <= node.end
+        assert (node.left.start, node.left.end) == (node.start, node.split - 1)
+        assert (node.right.start, node.right.end) == (node.split, node.end)
+        stack += (node.left, node.right)
+    assert count == 2 * n - 1
 
 
 def test_tree_structure_invariants():

@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -420,7 +421,11 @@ def test_omega_lcp_golden():
 
 
 def test_omega_lcp_matches_oracle():
-    for w in O.all_strings("ab", 1, 9):
+    texts = list(O.all_strings("ab", 1, 9)) + list(O.all_strings("abc", 1, 7))
+    # repeated necklaces: later copies' rows are INF
+    texts += [b"ab" * k + b"a" for k in range(1, 40)] + [b"abb" * k for k in range(1, 30)]
+    texts += O.random_strings(72, 120, 200, (1, 2, 4, 256))
+    for w in texts:
         got = omega_lcp_array(w)
         want = O.brute_omega_lcp(w)
         assert len(got) == len(want), w
@@ -444,6 +449,18 @@ def test_omega_lcp_against_runs():
         assert len(irreducible) == r.runs
         for i in irreducible:
             assert lcps[i] is not INF
+
+
+def test_omega_lcp_grows_linearly():
+    # one factor whose LCPs sum to about n^2 / 2; building every rotation,
+    # as an earlier version did, took about 24 s at this size on a 2-core VM
+    n = 1 << 15
+    w = b"a" * (n - 1) + b"b"
+    _core.cache_clear()
+    start = time.perf_counter()
+    lcps = omega_lcp_array(w)
+    assert time.perf_counter() - start < 5.0
+    assert lcps == [0, *range(n - 2, -1, -1)]  # row r is a^(n-1-r) b a^r
 
 
 def test_omega_lcp_memory_is_linear():
