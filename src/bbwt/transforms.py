@@ -13,8 +13,9 @@ further copy those ranks, and sorts by rank, ties by text position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import ne
+from functools import lru_cache, partial
+from itertools import takewhile
+from operator import eq, ne
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -195,6 +196,13 @@ def lf_map(x) -> list[int]:
     return ranks.tolist()
 
 
+# Walk/loop time, median over 60 random texts in two runs: 1.08-1.15 at 256
+# symbols, 0.93-0.99 at 384, 0.86-0.88 at 512, 0.77 at 1,000 (the walk has
+# 20-30 us of fixed cost); inputs up to 512 symbols keep the loop.
+_LOOP_MAX = 512
+_COPY_CELLS = 1 << 16  # most shifted rows _copies compares in one numpy call
+
+
 def bwt_inverse_multiset(x) -> list[bytes]:
     """Lyndon roots of the LF cycles of x, in nonincreasing order.
 
@@ -203,10 +211,19 @@ def bwt_inverse_multiset(x) -> list[bytes]:
     the cycle walked from row i spells the rotation at row i.  Walks that start
     at the smallest unvisited row therefore spell Lyndon roots, in increasing
     omega (for Lyndon words, lexicographic) order: no search, and no sort.
+
+    Past _LOOP_MAX symbols the walk runs forward: row r's rotation starts with
+    the r-th symbol of sorted x and goes on at row order[r], where order is
+    the stable sort order of x.  If every row p of a cycle keeps its symbol at
+    p + 1, ..., p + c - 1, then LF, which keeps equal symbols in order, maps
+    those rows to c - 1 more cycles spelling the same word, so the word is
+    walked once and emitted c times.
     """
     x = as_text(x)
     if not x:
         raise ValueError("bwt_inverse_multiset: empty input")
+    if len(x) > _LOOP_MAX:
+        return _cycle_words(x)[::-1]
     psi = lf_map(x)
     n = len(x)
     seen = bytearray(n)
@@ -223,6 +240,63 @@ def bwt_inverse_multiset(x) -> list[bytes]:
         chars.reverse()
         words.append(bytes(chars))
     return words[::-1]
+
+
+def _cycle_words(x: bytes) -> list[bytes]:
+    """The cycle words of nonempty x, each from its least row, in increasing order."""
+    n = len(x)
+    a = np.frombuffer(x, dtype=np.uint8)
+    order = np.argsort(a, kind="stable")
+    first = a[order]
+    nxt = order.tolist()
+    del order
+    seen = bytearray(n)
+    marks = np.frombuffer(seen, dtype=np.uint8)
+    # rows of a cycle past 2^16 rows as int32, half the bytes at the peak;
+    # shorter ones as int64, which numpy indexes without a cast
+    narrow = np.int32 if n < 1 << 31 else np.int64
+    words = []
+    i0 = 0
+    while i0 >= 0:
+        # chased in C: extend reads each row as it appends it
+        path = [i0]
+        path.extend(takewhile(partial(ne, i0), map(nxt.__getitem__, path)))
+        # copies need every row's symbol again one row down: i0's first, then
+        # the rest in C up to the first row that changes
+        twin = False
+        if i0 + 1 < n and x[i0 + 1] == x[i0]:
+            try:
+                twin = all(map(eq, map(x.__getitem__, map((1).__add__, path)),
+                               map(x.__getitem__, path)))
+            except IndexError:  # row n - 1 has none below it
+                pass
+        rows = np.fromiter(path, narrow if len(path) > 1 << 16 else np.int64, len(path))
+        del path
+        marks[rows] = 1
+        c = _copies(a, rows) if twin else 1
+        if c > 1:
+            marks[rows[:, None] + np.arange(1, c)] = 1
+        words += [first[rows].tobytes()] * c
+        i0 = seen.find(0, i0 + 1)
+    return words
+
+
+def _copies(a: np.ndarray, rows: np.ndarray) -> int:
+    """Largest c with a[p + k] == a[p] for every p in rows and every k < c.
+
+    Shifts are compared in blocks of 256 cells or more, doubling up to
+    _COPY_CELLS, until a block holds a changed symbol.
+    """
+    sym, top = a[rows, None], len(a) - int(rows.max())
+    c, cells = 1, 256
+    while c < top:
+        k = np.arange(c, min(c + max(1, cells // len(rows)), top))
+        same = (a[rows[:, None] + k] == sym).all(axis=0)
+        if not same.all():
+            return c + int(same.argmin())
+        c += len(k)
+        cells = min(2 * cells, _COPY_CELLS)
+    return c
 
 
 def bbwt_inverse(x) -> bytes:

@@ -1,7 +1,8 @@
 """Property tests: the text parsers and the scheme decoder raise only their
-own documented errors, whatever text they are given, and every command that
-reads an input maps whatever bytes it reads to a documented exit code and
-refuses an input over --max-bytes without reading far past it."""
+own documented errors, whatever text they are given, every byte string is a
+bbwt image that the inverse takes back, and every command that reads an
+input maps whatever bytes it reads to a documented exit code and refuses an
+input over --max-bytes without reading far past it."""
 
 import io
 import sys
@@ -14,10 +15,14 @@ from hypothesis import strategies as st
 from bbwt import (
     SchemeFormatError,
     SchemeStructureError,
+    bbwt,
+    bbwt_inverse,
+    bwt_inverse_multiset,
     cli,
     decode_bms,
     parse_path,
     scheme_from_text,
+    transforms,
 )
 
 # Small numbers make well-formed schemes likely; the huge ones are past any
@@ -46,6 +51,22 @@ def test_scheme_text_decodes_or_raises_scheme_errors(text):
         decode_bms(scheme_from_text(text))
     except (SchemeFormatError, SchemeStructureError):
         pass
+
+
+# up to three times the cycle walk's cutoff, so both inverse paths run; the
+# two-letter texts repeat necklaces, which the walk emits without walking
+_IMAGE_MAX = 3 * transforms._LOOP_MAX
+_IMAGE = st.integers(1, _IMAGE_MAX).flatmap(lambda n: st.one_of(
+    st.binary(min_size=n, max_size=n),
+    st.text("ab", min_size=n, max_size=n).map(str.encode)))
+
+
+@given(_IMAGE)
+def test_every_byte_string_is_a_bbwt_image(x):
+    words = bwt_inverse_multiset(x)
+    assert bbwt(bbwt_inverse(x)).output == x
+    assert b"".join(words) == bbwt_inverse(x)
+    assert all(u >= v for u, v in zip(words, words[1:]))
 
 
 _PATH_TOKEN = st.one_of(

@@ -360,18 +360,49 @@ def test_bwt_inverse_multiset_properties():
             assert not O.brute_omega_less(a, b)  # a >= b in omega-order
 
 
+def _inverse_texts():
+    """Preimages for the inverse: copy-heavy texts, whose cycle walk emits
+    repeated necklaces without walking them, texts using bytes 0 and 255, and
+    texts on both sides of the walk's cutoff."""
+    cut = transforms._LOOP_MAX
+    yield from (b"a" * n for n in (1, 2, 7, cut, cut + 1, 3 * cut))
+    yield from (b"ab" * k for k in (1, 3, 20, cut // 2 + 1, 1000))
+    yield from (b"abaab" * k + b"aab" for k in (1, 4, 200))
+    for u in (b"b", b"ab", b"aab", b"abb", b"aabab", b"\x00\xff", b"\x00\x00\xff"):
+        for k in (2, 3, 9, 200):
+            for v in (b"", b"a", b"\x00", b"ba", u[:-1] + b"b"):
+                yield u * k + v
+    fib = O.brute_fibonacci(20)
+    yield from (fib[:100], fib[7:5007])  # (21, 2) and (987, 2) necklaces
+    rng = random.Random(53)
+    for n in (cut - 1, cut, cut + 1, 1 << 12):
+        for alphabet in (b"\x00\xff", b"ab", b"acgt", bytes(range(256))):
+            yield bytes(rng.choice(alphabet) for _ in range(n))
+        yield (b"ab" * n)[:n]
+
+
 def test_bwt_inverse_multiset_matches_oracle():
     # every string is a bbwt image, so the cycles must give back exactly the
-    # Lyndon factors of its preimage, in their nonincreasing order
+    # Lyndon factors of its preimage, in their nonincreasing order: short
+    # texts against the brute-force factors, long ones against the factors of
+    # the text whose oracle-checked bbwt they invert
     texts = list(O.all_strings("abc", 1, 8))
-    for w in texts + list(O.random_strings(52, 200, 299, (1, 2, 3, 4, 8))):
+    short = [w for w in _inverse_texts() if len(w) <= 100]
+    for w in texts + list(O.random_strings(52, 200, 299, (1, 2, 3, 4, 8))) + short:
         assert bwt_inverse_multiset(O.brute_bbwt(w)[0]) == O.brute_lyndon_factors(w), w
+    for w in _inverse_texts():
+        factors = [u for u, k in lyndon_factorize(w).necklaces for _ in range(k)]
+        assert bwt_inverse_multiset(bbwt(w).output) == factors, w[:40]
 
 
 def test_bwt_necklace_roundtrip():
     # a primitive necklace comes back as itself; u^m comes back as m copies
-    # of the primitive root u (one psi-cycle each)
-    for w in O.all_necklaces("ab", 1, 10):
+    # of the primitive root u (one psi-cycle each), also past the walk's
+    # cutoff, where the copies are emitted without walking them
+    cut = transforms._LOOP_MAX
+    long = [b"a" * (cut + 1), b"ab" * 200, b"aab" * 200, b"aabab" * 103,
+            b"a" * cut + b"b", b"a" * 300 + b"ab" * 200, b"\x00\xff" * 300]
+    for w in list(O.all_necklaces("ab", 1, 10)) + long:
         words = bwt_inverse_multiset(bwt(w).output)
         if O.brute_is_primitive(w):
             assert words == [w], w
