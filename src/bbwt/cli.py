@@ -161,10 +161,8 @@ def _cmd_rotopt(args) -> int:
 
 
 def _cmd_lynrot(args) -> int:
-    data = _read_input(args)
-    sizes = rotation.all_rotation_factorization_sizes(data)
-    line = " ".join(f"({t},{k})" for t, k in sizes.by_start)
-    _write_output(args, (line + "\n").encode())
+    sizes = rotation.all_rotation_factorization_sizes(_read_input(args))
+    _write_output(args, rotation.sizes_to_text(sizes).encode())
     return 0
 
 

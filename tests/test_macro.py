@@ -14,9 +14,11 @@ from bbwt import (
     Lz77Factorization,
     MacroScheme,
     Reference,
+    RotationSizes,
     SchemeFormatError,
     SchemeStructureError,
     ValidationReport,
+    all_rotation_factorization_sizes,
     bbwt,
     decode_bms,
     induce_bms,
@@ -378,6 +380,8 @@ _HELD = [
                  lambda w, tup: MacroScheme(len(w), tup), "phrases", id="parsed"),
     pytest.param(lz77_factorize, lambda w, tup: Lz77Factorization(tup), "factors",
                  id="Lz77Factorization"),
+    pytest.param(all_rotation_factorization_sizes, lambda w, tup: RotationSizes(tup), "by_start",
+                 id="RotationSizes"),
 ]
 
 

@@ -1,6 +1,8 @@
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as O
 from bbwt import (
@@ -16,6 +18,7 @@ from bbwt import (
     rot,
     rotation,
 )
+from bbwt._ranks import _SMALL
 
 
 def tree_tuple(node):
@@ -224,3 +227,58 @@ def test_factors_never_span_the_rotation_seam():
                     pos += len(fac)
                     boundaries.add(pos)
             assert p in boundaries, (least, p)
+
+
+@st.composite
+def sizes_texts(draw):
+    """Texts on both sides of _SMALL, powers u^m, one-symbol texts, and the
+    combs a^(n-1) b and b a^(n-1), over small alphabets."""
+    symbols = st.integers(97, 96 + draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(["near small", "power", "one symbol", "comb"]))
+    if kind == "near small":
+        return bytes(draw(st.lists(symbols, min_size=60, max_size=70)))
+    if kind == "power":
+        return bytes(draw(st.lists(symbols, min_size=1, max_size=24))) * draw(st.integers(2, 4))
+    n = draw(st.integers(1, 80))
+    if kind == "one symbol":
+        return bytes([draw(symbols)]) * n
+    return draw(st.sampled_from([b"a" * n + b"b", b"b" + b"a" * n]))
+
+
+@given(sizes_texts())
+def test_rotation_sizes_property(w):
+    sizes = all_rotation_factorization_sizes(w)
+    assert ("_cols" in vars(sizes)) == (len(w) > _SMALL)
+    want = O.brute_rotation_sizes(w)
+    assert rotation.sizes_to_text(sizes) == " ".join(f"({t},{k})" for t, k in want) + "\n"
+    assert list(sizes.by_start) == want
+
+
+def test_sizes_to_text_writes_held_columns_by_chunks(monkeypatch):
+    monkeypatch.setattr(rotation, "_PAIRS_PER_CHUNK", 7)
+    for w in O.random_strings(191, 20, 300, (1, 2, 3, 4), n_lo=_SMALL + 1):
+        want = " ".join(f"({t},{k})" for t, k in all_rotation_factorization_sizes(w).by_start)
+        assert rotation.sizes_to_text(all_rotation_factorization_sizes(w)) == want + "\n", w
+
+
+def test_scan_matches_its_definitions():
+    # nss / psv: nearest smaller suffix rank after / before each position;
+    # per[j]: the least period of the prefix w[:j], which for a prefix of a
+    # Lyndon word is also the length of its longest Lyndon prefix
+    words = [w for w in O.all_strings("ab", 1, 10) if O.brute_is_lyndon(w)]
+    words += [least for least, _ in map(O.brute_smallest_rotation,
+                                        O.random_strings(193, 60, 200, (2, 3, 4)))
+              if O.brute_is_lyndon(least)]
+    for w in words:
+        d = len(w)
+        ranks = sorted(range(d), key=lambda i: w[i:])
+        ranks = [ranks.index(i) for i in range(d)]
+        nss, psv, per = rotation._scan(list(ranks), w)
+        assert list(nss) == [next((j for j in range(i + 1, d) if ranks[j] < ranks[i]), d)
+                             for i in range(d)], w
+        assert list(psv) == [next((j for j in range(i - 1, -1, -1) if ranks[j] < ranks[i]), -1)
+                             for i in range(d)], w
+        assert per[0] == 1
+        for j in range(1, d):
+            assert per[j] == min(p for p in range(1, j + 1) if w[p:j] == w[:j - p]), (w, j)
+            assert per[j] == max(e for e in range(1, j + 1) if O.brute_is_lyndon(w[:e])), (w, j)

@@ -13,8 +13,12 @@ text of 2^14 symbols per benchmark family (random over 4 and 256 symbols,
 Fibonacci, Thue-Morse, 1,009-periodic).  `--quick` is a smaller corpus of
 the same kinds.  The inverses read each text and its bbwt, so repeated
 necklaces reach them; the reachability calls skip texts they would search
-for too long (see CALLS).  Standard library only; bbwt is imported from
-../src.
+for too long (see CALLS).  all_rotation_runs takes texts of up to 1,024
+symbols, so the searches that sort all rotations together run, and the
+Lyndon trees take each primitive text's least rotation, a Lyndon word, up to
+256 symbols: a tree's repr recurses about three frames a level, and a comb
+of 400 symbols already passes the default recursion limit.  Standard
+library only; bbwt is imported from ../src.
 """
 
 from __future__ import annotations
@@ -30,13 +34,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bbwt import (  # noqa: E402
+    all_rotation_factorization_sizes,
+    all_rotation_runs,
     bbwt,
     bbwt_inverse,
     bwt_inverse_multiset,
     canonical_smallest,
     descent_step,
     find_path,
+    left_lyndon_tree,
     parikh,
+    right_lyndon_tree,
     smallest_rotation,
     transform_to_smallest,
 )
@@ -52,6 +60,16 @@ def _descends(w: bytes) -> bool:
     return len(set(w)) <= 2 or len(set(w)) == len(w)
 
 
+def _primitive(w: bytes) -> bool:
+    """Whether w's least rotation is a Lyndon word."""
+    return (w + w).find(w, 1) == len(w)
+
+
+def _of_least(f):
+    """f of the least rotation of the text."""
+    return lambda w: f(smallest_rotation(w)[0])
+
+
 # name -> (function of one text, longest text it is given, other filter)
 CALLS = {
     "bbwt_inverse": (_and_image(bbwt_inverse), None, None),
@@ -59,6 +77,10 @@ CALLS = {
     "transform_to_smallest": (transform_to_smallest, 2000, _descends),
     "descent_step": (lambda w: descent_step(smallest_rotation(w)[0]), None, None),
     "find_path": (lambda w: find_path(w, canonical_smallest(parikh(w))), 6, None),
+    "all_rotation_factorization_sizes": (all_rotation_factorization_sizes, None, None),
+    "all_rotation_runs": (all_rotation_runs, 1024, None),
+    "right_lyndon_tree": (_of_least(right_lyndon_tree), 256, _primitive),
+    "left_lyndon_tree": (_of_least(left_lyndon_tree), 256, _primitive),
 }
 
 
