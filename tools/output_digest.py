@@ -75,7 +75,7 @@ CALLS = {
     "bbwt_inverse": (_and_image(bbwt_inverse), None, None),
     "bwt_inverse_multiset": (_and_image(bwt_inverse_multiset), None, None),
     "transform_to_smallest": (transform_to_smallest, 2000, _descends),
-    "descent_step": (lambda w: descent_step(smallest_rotation(w)[0]), None, None),
+    "descent_step": (_of_least(descent_step), None, None),
     "find_path": (lambda w: find_path(w, canonical_smallest(parikh(w))), 6, None),
     "all_rotation_factorization_sizes": (all_rotation_factorization_sizes, None, None),
     "all_rotation_runs": (all_rotation_runs, 1024, None),
